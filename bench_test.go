@@ -18,7 +18,6 @@ import (
 	"mmwalign/internal/antenna"
 	"mmwalign/internal/benchsuite"
 	"mmwalign/internal/channel"
-	"mmwalign/internal/cmat"
 	"mmwalign/internal/covest"
 	"mmwalign/internal/experiment"
 	"mmwalign/internal/meas"
@@ -296,9 +295,11 @@ func BenchmarkEstimate(b *testing.B) {
 }
 
 // BenchmarkEigen is the canonical regression-guarded eigendecomposition
-// benchmark (shared with cmd/benchdiff): a 64x64 Hermitian Jacobi
-// decomposition through a reused EigenWorkspace. Compare against
-// BENCH_eigen.json with cmd/benchdiff.
+// benchmark (shared with cmd/benchdiff): a 64x64 Hermitian
+// decomposition (Householder tridiagonalization + implicit QL) through a
+// reused EigenWorkspace. Compare against BENCH_eigen.json with
+// cmd/benchdiff; `go test -bench EigHermitian ./internal/cmat` covers
+// the solver's other working dimensions.
 func BenchmarkEigen(b *testing.B) {
 	benchsuite.BenchEigen(b)
 }
@@ -353,25 +354,6 @@ func BenchmarkMulticell(b *testing.B) {
 // BENCH_scenario.json with cmd/benchdiff.
 func BenchmarkScenario(b *testing.B) {
 	benchsuite.BenchScenario(b)
-}
-
-// BenchmarkEigHermitian64 measures the 64×64 Hermitian Jacobi
-// eigendecomposition, the inner kernel of every covariance estimation.
-func BenchmarkEigHermitian64(b *testing.B) {
-	src := rng.New(1)
-	m := cmat.New(64, 64)
-	for i := 0; i < 64; i++ {
-		for j := 0; j < 64; j++ {
-			m.Set(i, j, src.ComplexNormal(1))
-		}
-	}
-	h := m.Hermitianize()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cmat.EigHermitian(h); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkCovarianceEstimate measures one full nuclear-norm-regularized

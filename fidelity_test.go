@@ -62,6 +62,7 @@ func TestFidelitySmokeEstimate(t *testing.T) {
 	checkMetric(t, "estimate", "objective", stats.Objective, base.Metrics["objective"])
 	checkMetric(t, "estimate", "iters", float64(stats.Iters), base.Metrics["iters"])
 	checkMetric(t, "estimate", "eig_decomps", float64(stats.EigenDecomps), base.Metrics["eig_decomps"])
+	checkMetric(t, "estimate", "eigen_iters", float64(stats.EigenIters), base.Metrics["eigen_iters"])
 }
 
 func TestFidelitySmokeFigures(t *testing.T) {

@@ -5,14 +5,15 @@ import (
 	"mmwalign/internal/obs"
 )
 
-// solveSample flattens one covest.Stats into the observability layer's
+// SolveSample flattens one covest.Stats into the observability layer's
 // solver sample, so the run manifest can aggregate proximal iterations,
 // eigendecomposition counts, divergence restarts and guardrail
 // recoveries across every estimation of a run.
-func solveSample(st covest.Stats) obs.SolveSample {
+func SolveSample(st covest.Stats) obs.SolveSample {
 	return obs.SolveSample{
 		Iters:          st.Iters,
 		EigenDecomps:   st.EigenDecomps,
+		EigenIters:     st.EigenIters,
 		ObjectiveEvals: st.ObjectiveEvals,
 		GradientEvals:  st.GradientEvals,
 		Backtracks:     st.Backtracks,

@@ -129,7 +129,7 @@ func (s *TwoSidedStrategy) RunContext(ctx context.Context, env *Env, budget int)
 			estSpan := estPhase.Start()
 			q, stats, estErr := est.EstimateContext(ctx, win, qhat)
 			estSpan.End()
-			rec.AddSolve(solveSample(stats))
+			rec.AddSolve(SolveSample(stats))
 			switch {
 			case estErr == nil && isFiniteObjective(stats):
 				qhat = q

@@ -71,3 +71,8 @@ func TestMulIntoMatchesPerTermLoop(t *testing.T) {
 		}
 	}
 }
+
+func bitEqualComplex(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}

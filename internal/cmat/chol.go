@@ -99,20 +99,21 @@ func EigenSoftThresholdPSD(a *Matrix, tau float64) (*Matrix, error) {
 // EigenSoftThresholdPSD: the eigendecomposition runs in ews and the
 // thresholded reconstruction overwrites dst. dst may alias a (the
 // decomposition copies a into workspace storage first) but must not
-// alias ews buffers. Identical numerics to EigenSoftThresholdPSD.
+// alias ews buffers. Identical numerics to EigenSoftThresholdPSD. Only
+// the eigenvectors that survive the threshold are formed.
 func EigenSoftThresholdPSDInto(ews *EigenWorkspace, dst, a *Matrix, tau float64) error {
-	e, err := ews.EigHermitian(a)
-	if err != nil {
+	if err := ews.decompose(a); err != nil {
 		return fmt.Errorf("eigen soft-threshold: %w", err)
 	}
-	n := a.Rows()
+	vals := ews.sortedVals
+	kept := 0
+	for kept < len(vals) && !(vals[kept]-tau <= 0) {
+		kept++
+	}
+	ews.backTransform(kept)
 	dst.Zero()
-	for j := 0; j < n; j++ {
-		lambda := e.Values[j] - tau
-		if lambda <= 0 {
-			continue
-		}
-		dst.AddScaledOuterCol(complex(lambda, 0), e.Vectors, j)
+	for j := 0; j < kept; j++ {
+		dst.AddScaledOuterCol(complex(vals[j]-tau, 0), ews.sortedVecs, j)
 	}
 	return nil
 }

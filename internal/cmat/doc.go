@@ -1,6 +1,7 @@
 // Package cmat implements dense complex linear algebra for the beam
 // alignment library: vectors, matrices, Hermitian eigendecomposition
-// (cyclic Jacobi), singular value decomposition, Cholesky and QR
+// (Householder tridiagonalization and implicit-shift QL), singular value
+// decomposition, Cholesky and QR
 // factorizations, and the positive-semidefinite-cone operators
 // (projection, spectral soft-thresholding) required by the
 // nuclear-norm-regularized covariance estimator.

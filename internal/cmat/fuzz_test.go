@@ -1,23 +1,43 @@
 package cmat
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // fuzzHermitian derives a deterministic Hermitian test matrix from fuzz
-// inputs: dimension from n, entries from seed, overall magnitude from
-// scale (spanning tiny to large matrices so tolerance scaling is
-// exercised too).
-func fuzzHermitian(seed int64, n uint8, scale float64) *Matrix {
-	dim := 1 + int(n)%16
+// inputs: dimension from n (1 to 64), structure from kind (one of
+// eigenCaseKinds), entries from seed, overall magnitude from scale
+// (spanning tiny to large matrices so tolerance scaling is exercised
+// too).
+func fuzzHermitian(seed int64, n, kind uint8, scale float64) *Matrix {
+	dim := 1 + int(n)%64
 	r := rand.New(rand.NewSource(seed))
-	h := randHermitian(r, dim)
+	h := eigenCase(int(kind), r, dim)
 	if !math.IsInf(scale, 0) && !math.IsNaN(scale) && scale != 0 {
 		h = h.Scale(complex(scale, 0))
 	}
 	return h.Hermitianize()
+}
+
+// addEigenCaseSeeds seeds a corpus with every structured kind at every
+// accuracy-table dimension, through add(seed, n, kind).
+func addEigenCaseSeeds(add func(seed int64, n, kind uint8)) {
+	for kind := range eigenCaseKinds {
+		for _, dim := range eigenCaseSizes {
+			add(int64(100*kind+dim), uint8(dim-1), uint8(kind))
+		}
+	}
+}
+
+// overflowed reports whether a decomposition of h may legitimately
+// fail: entries within a few orders of MaxFloat64 (or already
+// overflowed to ±Inf by the fuzzer's scale) can overflow inside the
+// reduction or a QL sweep, which must then surface as a typed error.
+func overflowed(h *Matrix, err error) bool {
+	return h.MaxAbs() > 1e300 && (errors.Is(err, ErrNonFinite) || errors.Is(err, ErrNoConvergence))
 }
 
 // FuzzEigHermitian asserts the eigensolver contract on arbitrary
@@ -25,15 +45,19 @@ func fuzzHermitian(seed int64, n uint8, scale float64) *Matrix {
 // sorted descending, eigenvectors orthonormal, and the workspace path
 // bitwise identical to the package-level entry point.
 func FuzzEigHermitian(f *testing.F) {
-	f.Add(int64(1), uint8(4), 1.0)
-	f.Add(int64(7), uint8(0), 1e-8)
-	f.Add(int64(42), uint8(15), 1e6)
-	f.Add(int64(-3), uint8(63), -2.5)
-	f.Add(int64(99), uint8(8), 0.0)
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, scale float64) {
-		h := fuzzHermitian(seed, n, scale)
+	f.Add(int64(1), uint8(4), uint8(0), 1.0)
+	f.Add(int64(7), uint8(0), uint8(0), 1e-8)
+	f.Add(int64(42), uint8(15), uint8(0), 1e6)
+	f.Add(int64(-3), uint8(63), uint8(0), -2.5)
+	f.Add(int64(99), uint8(8), uint8(0), 0.0)
+	addEigenCaseSeeds(func(seed int64, n, kind uint8) { f.Add(seed, n, kind, 1.0) })
+	f.Fuzz(func(t *testing.T, seed int64, n, kind uint8, scale float64) {
+		h := fuzzHermitian(seed, n, kind, scale)
 		dim := h.Rows()
 		e, err := EigHermitian(h)
+		if overflowed(h, err) {
+			return
+		}
 		if err != nil {
 			t.Fatalf("dim=%d scale=%g: %v", dim, scale, err)
 		}
@@ -75,18 +99,22 @@ func FuzzEigHermitian(f *testing.F) {
 // allocation-free Into variant matches the allocating one bitwise —
 // including when dst aliases the input.
 func FuzzEigenSoftThresholdPSD(f *testing.F) {
-	f.Add(int64(1), uint8(4), 1.0, 0.5)
-	f.Add(int64(2), uint8(7), -1.0, 0.0)
-	f.Add(int64(5), uint8(11), 100.0, 7.5)
-	f.Add(int64(8), uint8(2), 1e-6, 1e-9)
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, scale, tau float64) {
+	f.Add(int64(1), uint8(4), uint8(0), 1.0, 0.5)
+	f.Add(int64(2), uint8(7), uint8(0), -1.0, 0.0)
+	f.Add(int64(5), uint8(11), uint8(0), 100.0, 7.5)
+	f.Add(int64(8), uint8(2), uint8(0), 1e-6, 1e-9)
+	addEigenCaseSeeds(func(seed int64, n, kind uint8) { f.Add(seed, n, kind, 1.0, 0.75) })
+	f.Fuzz(func(t *testing.T, seed int64, n, kind uint8, scale, tau float64) {
 		if math.IsNaN(tau) || math.IsInf(tau, 0) {
 			return
 		}
 		tau = math.Abs(tau)
-		h := fuzzHermitian(seed, n, scale)
+		h := fuzzHermitian(seed, n, kind, scale)
 		dim := h.Rows()
 		out, err := EigenSoftThresholdPSD(h, tau)
+		if overflowed(h, err) {
+			return
+		}
 		if err != nil {
 			t.Fatalf("dim=%d tau=%g: %v", dim, tau, err)
 		}

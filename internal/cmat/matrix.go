@@ -128,18 +128,6 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// SetIdentity overwrites the square matrix m with the identity in
-// place. Panics if m is not square.
-func (m *Matrix) SetIdentity() {
-	m.checkSquare()
-	for i := range m.data {
-		m.data[i] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+i] = 1
-	}
-}
-
 // SubInto overwrites m with a - b. Panics on shape mismatch. m may
 // alias a or b.
 func (m *Matrix) SubInto(a, b *Matrix) {

@@ -232,6 +232,10 @@ type Stats struct {
 	// ran: one per proximal step (including rejected backtracking
 	// trials) plus one to lift the reduced estimate.
 	EigenDecomps int
+	// EigenIters totals the implicit-QL iterations of those
+	// eigendecompositions: their exact cost, which depends only on the
+	// matrices decomposed.
+	EigenIters int
 	// ObjectiveEvals counts evaluations of the penalized negative
 	// log-likelihood.
 	ObjectiveEvals int
@@ -588,6 +592,7 @@ func (e *Estimator) solve(ctx context.Context, obs []Observation, warm *cmat.Mat
 	// the full-size matrix is needed.
 	stats.EigenDecomps++
 	eig, eigErr := wk.eig.EigHermitian(q)
+	stats.EigenIters += wk.eig.Iters()
 	if eigErr != nil {
 		return nil, stats, fmt.Errorf("covest: decomposing estimate: %w", eigErr)
 	}
@@ -941,7 +946,9 @@ func (e *Estimator) proxStepInto(wk *solverWork, base *cmat.Matrix, step float64
 	wk.scratch.HermitianizeInPlace()
 	stats.EigenDecomps++
 	wk.noteWrite(wk.nxt)
-	if err := cmat.EigenSoftThresholdPSDInto(wk.eig, wk.nxt, wk.scratch, step*e.opts.Mu); err != nil {
+	err := cmat.EigenSoftThresholdPSDInto(wk.eig, wk.nxt, wk.scratch, step*e.opts.Mu)
+	stats.EigenIters += wk.eig.Iters()
+	if err != nil {
 		return fmt.Errorf("covest: prox step: %w", err)
 	}
 	return nil

@@ -352,3 +352,31 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Errorf("unexpected defaults: %+v", o)
 	}
 }
+
+// TestStatsEigenIters pins the eigensolve work counter: a solve reports
+// its implicit-QL iterations, at least one per decomposition of a
+// non-diagonal iterate, and the same input always reports the same
+// count.
+func TestStatsEigenIters(t *testing.T) {
+	q, beams, _ := rank1Fixture(16)
+	obs := synthObservations(rng.New(31), q, beams, 10)
+	est, err := NewEstimator(16, Options{Gamma: 10, MaxIters: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := est.Estimate(obs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.EigenIters < first.EigenDecomps {
+		t.Errorf("EigenIters = %d for %d decompositions", first.EigenIters, first.EigenDecomps)
+	}
+	_, again, err := est.Estimate(obs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.EigenIters != first.EigenIters || again.EigenDecomps != first.EigenDecomps {
+		t.Errorf("repeat solve: %d iterations over %d decompositions, first %d over %d",
+			again.EigenIters, again.EigenDecomps, first.EigenIters, first.EigenDecomps)
+	}
+}

@@ -210,7 +210,8 @@ func (m *Manifest) Validate() error {
 		v    int64
 	}{
 		{"estimations", s.Estimations}, {"iters", s.Iters},
-		{"eigen_decomps", s.EigenDecomps}, {"objective_evals", s.ObjectiveEvals},
+		{"eigen_decomps", s.EigenDecomps}, {"eigen_iters", s.EigenIters},
+		{"objective_evals", s.ObjectiveEvals},
 		{"gradient_evals", s.GradientEvals}, {"backtracks", s.Backtracks},
 		{"restarts", s.Restarts}, {"recovered", s.Recovered}, {"degraded", s.Degraded},
 	} {

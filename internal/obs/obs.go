@@ -95,9 +95,10 @@ func (c *Counter) Value() int64 {
 // SolveSample is one covariance-solve's worth of covest.Stats, already
 // flattened so this package does not depend on the solver.
 type SolveSample struct {
-	// Iters, EigenDecomps, ObjectiveEvals, GradientEvals and Backtracks
-	// mirror the covest.Stats counters of one Estimate call.
-	Iters, EigenDecomps, ObjectiveEvals, GradientEvals, Backtracks int
+	// Iters, EigenDecomps, EigenIters, ObjectiveEvals, GradientEvals
+	// and Backtracks mirror the covest.Stats counters of one Estimate
+	// call.
+	Iters, EigenDecomps, EigenIters, ObjectiveEvals, GradientEvals, Backtracks int
 	// Restarts is the number of divergence-forced momentum restarts.
 	Restarts int
 	// Rank and SubspaceDim describe the returned estimate.
@@ -114,9 +115,10 @@ type SolverStats struct {
 	Estimations int64 `json:"estimations"`
 	// Iters is the total number of proximal steps across all solves.
 	Iters int64 `json:"iters"`
-	// EigenDecomps, ObjectiveEvals, GradientEvals and Backtracks total
-	// the per-solve cost counters.
+	// EigenDecomps, EigenIters, ObjectiveEvals, GradientEvals and
+	// Backtracks total the per-solve cost counters.
 	EigenDecomps   int64 `json:"eigen_decomps"`
+	EigenIters     int64 `json:"eigen_iters"`
 	ObjectiveEvals int64 `json:"objective_evals"`
 	GradientEvals  int64 `json:"gradient_evals"`
 	Backtracks     int64 `json:"backtracks"`
@@ -241,6 +243,7 @@ func (r *Recorder) AddSolve(s SolveSample) {
 	agg.Estimations++
 	agg.Iters += int64(s.Iters)
 	agg.EigenDecomps += int64(s.EigenDecomps)
+	agg.EigenIters += int64(s.EigenIters)
 	agg.ObjectiveEvals += int64(s.ObjectiveEvals)
 	agg.GradientEvals += int64(s.GradientEvals)
 	agg.Backtracks += int64(s.Backtracks)
@@ -257,6 +260,29 @@ func (r *Recorder) AddSolve(s SolveSample) {
 	if s.SubspaceDim > agg.MaxSubspaceDim {
 		agg.MaxSubspaceDim = s.SubspaceDim
 	}
+}
+
+// AddSolverStats folds another recorder's solver aggregate into this
+// one, as if its solves had been added one by one.
+func (r *Recorder) AddSolverStats(o SolverStats) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	agg := &r.solver
+	agg.Estimations += o.Estimations
+	agg.Iters += o.Iters
+	agg.EigenDecomps += o.EigenDecomps
+	agg.EigenIters += o.EigenIters
+	agg.ObjectiveEvals += o.ObjectiveEvals
+	agg.GradientEvals += o.GradientEvals
+	agg.Backtracks += o.Backtracks
+	agg.Restarts += o.Restarts
+	agg.Recovered += o.Recovered
+	agg.Degraded += o.Degraded
+	agg.MaxRank = max(agg.MaxRank, o.MaxRank)
+	agg.MaxSubspaceDim = max(agg.MaxSubspaceDim, o.MaxSubspaceDim)
 }
 
 // SetProgress installs the live progress sink (may be nil to remove).

@@ -226,6 +226,7 @@ func TestManifestValidateRejectsBadDocuments(t *testing.T) {
 		"unnamed phase":              func(m *Manifest) { m.Phases[0].Name = "" },
 		"negative counter":           func(m *Manifest) { m.Counters["measurements"] = -2 },
 		"negative solver":            func(m *Manifest) { m.Solver.Iters = -1 },
+		"negative eigen iters":       func(m *Manifest) { m.Solver.EigenIters = -1 },
 		"failures exceed total": func(m *Manifest) {
 			m.Failures = &FailureSummary{FailedDrops: 5, TotalDrops: 3}
 		},
@@ -296,4 +297,32 @@ func TestSnapshotWriteText(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestAddSolverStatsMatchesAddSolve pins the aggregate merge: folding a
+// second recorder's solver totals in equals adding its solves directly.
+func TestAddSolverStatsMatchesAddSolve(t *testing.T) {
+	samples := []SolveSample{
+		{Iters: 3, EigenDecomps: 4, EigenIters: 90, Backtracks: 1, Rank: 2, SubspaceDim: 8},
+		{Iters: 5, EigenDecomps: 6, EigenIters: 140, Restarts: 1, Recovered: true, Degraded: true, Rank: 1, SubspaceDim: 12},
+		{Iters: 1, EigenDecomps: 2, EigenIters: 7, ObjectiveEvals: 2, GradientEvals: 1},
+	}
+	direct, outer, inner := New(), New(), New()
+	for i, s := range samples {
+		direct.AddSolve(s)
+		if i == 0 {
+			outer.AddSolve(s)
+		} else {
+			inner.AddSolve(s)
+		}
+	}
+	outer.AddSolverStats(inner.Snapshot().Solver)
+	if got, want := outer.Snapshot().Solver, direct.Snapshot().Solver; got != want {
+		t.Errorf("merged aggregate %+v, want %+v", got, want)
+	}
+	if got := direct.Snapshot().Solver.EigenIters; got != 237 {
+		t.Errorf("EigenIters total = %d, want 237", got)
+	}
+	var nilRec *Recorder
+	nilRec.AddSolverStats(SolverStats{Estimations: 1})
 }

@@ -264,6 +264,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	outcome = breakerSuccess
+	s.rec.AddSolve(align.SolveSample(stats))
 
 	bestIdx, bestScore := book.BestQuadForm(q)
 	sess.topk = book.TopKQuadFormInto(q, req.TopK, sess.topk)
@@ -578,6 +579,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	outcome = breakerSuccess
+	s.rec.AddSolverStats(rec.Snapshot().Solver)
 	if n := rec.Counter("estimator_fallbacks").Value(); n > 0 {
 		resp.Fallback = &fallbackInfo{Policy: "scan-order", Count: n}
 	}

@@ -501,6 +501,9 @@ type statszBody struct {
 	Breakers      map[string]string         `json:"breakers,omitempty"`
 	Latency       map[string]LatencySummary `json:"latency_ns"`
 	Counters      map[string]int64          `json:"counters,omitempty"`
+	// Solver totals the cost counters of every successful solve, from
+	// /v1/estimate and /v1/align alike.
+	Solver obs.SolverStats `json:"solver"`
 }
 
 // handleStatsz reports pool, admission, resilience, and latency
@@ -532,6 +535,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Breakers:      s.breaker.States(),
 		Latency:       s.lat.summaries(),
 		Counters:      snap.Counters,
+		Solver:        snap.Solver,
 	})
 }
 

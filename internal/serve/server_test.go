@@ -17,6 +17,7 @@ import (
 	"mmwalign/internal/cmat"
 	"mmwalign/internal/faultinject"
 	"mmwalign/internal/meas"
+	"mmwalign/internal/obs"
 	"mmwalign/internal/rng"
 )
 
@@ -821,6 +822,71 @@ func TestHealthzAndStatsz(t *testing.T) {
 	}
 	if stats.Counters["serve_requests_estimate"] != 3 {
 		t.Errorf("request counter = %d, want 3", stats.Counters["serve_requests_estimate"])
+	}
+}
+
+// TestStatszSolverTotals checks that /statsz totals the cost counters
+// of every served solve: the estimate responses' own counts, plus the
+// solves of an /v1/align request as its telemetry fragment reports them.
+func TestStatszSolverTotals(t *testing.T) {
+	srv := NewServer(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var want obs.SolverStats
+	for i := 0; i < 3; i++ {
+		status, _, body := post(t, ts.URL+"/v1/estimate", estimateBody(i%4, 2))
+		if status != http.StatusOK {
+			t.Fatalf("estimate %d: status %d, body %s", i, status, body)
+		}
+		var resp estimateResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		want.Estimations++
+		want.Iters += int64(resp.Solver.Iters)
+		want.EigenDecomps += int64(resp.Solver.EigenDecomps)
+	}
+	var req map[string]any
+	if err := json.Unmarshal(alignBody(3), &req); err != nil {
+		t.Fatal(err)
+	}
+	req["scheme"], req["budget"], req["telemetry"] = "proposed", 3, true
+	ab, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _, body := post(t, ts.URL+"/v1/align", ab)
+	if status != http.StatusOK {
+		t.Fatalf("align: status %d, body %s", status, body)
+	}
+	var aresp alignResponse
+	if err := json.Unmarshal(body, &aresp); err != nil {
+		t.Fatal(err)
+	}
+	if aresp.Telemetry == nil || aresp.Telemetry.Solver.Estimations == 0 {
+		t.Fatalf("align telemetry reports no solves: %s", body)
+	}
+	want.Estimations += aresp.Telemetry.Solver.Estimations
+	want.Iters += aresp.Telemetry.Solver.Iters
+	want.EigenDecomps += aresp.Telemetry.Solver.EigenDecomps
+
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats statszBody
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	got := stats.Solver
+	if got.Estimations != want.Estimations || got.Iters != want.Iters || got.EigenDecomps != want.EigenDecomps {
+		t.Errorf("statsz solver = %+v, want estimations %d, iters %d, eigen_decomps %d",
+			got, want.Estimations, want.Iters, want.EigenDecomps)
+	}
+	if got.EigenIters < aresp.Telemetry.Solver.EigenIters || got.EigenIters == 0 {
+		t.Errorf("statsz eigen_iters = %d, align alone ran %d", got.EigenIters, aresp.Telemetry.Solver.EigenIters)
 	}
 }
 
