@@ -10,6 +10,7 @@ package mmwalign
 // regressions in speed.
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"testing"
@@ -50,7 +51,7 @@ func reportProposed(b *testing.B, fig experiment.Figure, metric string) {
 // loss vs search rate on the single-path channel.
 func BenchmarkFig5SearchEffectivenessSinglepath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Generate(5, benchConfig(false))
+		fig, err := experiment.GenerateContext(context.Background(), 5, benchConfig(false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func BenchmarkFig5SearchEffectivenessSinglepath(b *testing.B) {
 // vs search rate on the NYC multipath channel.
 func BenchmarkFig6SearchEffectivenessMultipath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Generate(6, benchConfig(true))
+		fig, err := experiment.GenerateContext(context.Background(), 6, benchConfig(true))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +75,7 @@ func BenchmarkFig6SearchEffectivenessMultipath(b *testing.B) {
 // search rate vs target loss on the single-path channel.
 func BenchmarkFig7CostEfficiencySinglepath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Generate(7, benchConfig(false))
+		fig, err := experiment.GenerateContext(context.Background(), 7, benchConfig(false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func BenchmarkFig7CostEfficiencySinglepath(b *testing.B) {
 // search rate vs target loss on the NYC multipath channel.
 func BenchmarkFig8CostEfficiencyMultipath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Generate(8, benchConfig(true))
+		fig, err := experiment.GenerateContext(context.Background(), 8, benchConfig(true))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func BenchmarkAblationEstimatorKind(b *testing.B) {
 				cfg.EstimatorKind = kind
 				cfg.Schemes = []string{"proposed"}
 				cfg.SearchRates = []float64{0.2}
-				fig, err := experiment.SearchEffectiveness(cfg)
+				fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -129,7 +130,7 @@ func BenchmarkAblationMu(b *testing.B) {
 				cfg.Mu = mu
 				cfg.Schemes = []string{"proposed"}
 				cfg.SearchRates = []float64{0.2}
-				fig, err := experiment.SearchEffectiveness(cfg)
+				fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -149,7 +150,7 @@ func BenchmarkAblationJ(b *testing.B) {
 				cfg.J = j
 				cfg.Schemes = []string{"proposed"}
 				cfg.SearchRates = []float64{0.2}
-				fig, err := experiment.SearchEffectiveness(cfg)
+				fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -169,7 +170,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 				cfg.Window = w
 				cfg.Schemes = []string{"proposed"}
 				cfg.SearchRates = []float64{0.2}
-				fig, err := experiment.SearchEffectiveness(cfg)
+				fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -186,7 +187,7 @@ func BenchmarkAblationHierarchical(b *testing.B) {
 		cfg := benchConfig(true)
 		cfg.Schemes = []string{"hierarchical", "proposed"}
 		cfg.SearchRates = []float64{0.2}
-		fig, err := experiment.SearchEffectiveness(cfg)
+		fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func BenchmarkAblationTwoSided(b *testing.B) {
 				cfg := benchConfig(false)
 				cfg.Schemes = []string{scheme}
 				cfg.SearchRates = []float64{0.2}
-				fig, err := experiment.SearchEffectiveness(cfg)
+				fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -229,7 +230,7 @@ func BenchmarkAblationPhaseBits(b *testing.B) {
 				cfg.PhaseBits = bits
 				cfg.Schemes = []string{"proposed"}
 				cfg.SearchRates = []float64{0.2}
-				fig, err := experiment.SearchEffectiveness(cfg)
+				fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -249,7 +250,7 @@ func BenchmarkAblationDigital(b *testing.B) {
 				cfg := benchConfig(false)
 				cfg.Schemes = []string{scheme}
 				cfg.SearchRates = []float64{0.1}
-				fig, err := experiment.SearchEffectiveness(cfg)
+				fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -271,7 +272,7 @@ func BenchmarkAblationLocalRefine(b *testing.B) {
 				cfg := benchConfig(true)
 				cfg.Schemes = []string{scheme}
 				cfg.SearchRates = []float64{0.2}
-				fig, err := experiment.SearchEffectiveness(cfg)
+				fig, err := experiment.SearchEffectivenessContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -40,7 +40,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -64,6 +63,7 @@ import (
 	"mmwalign/internal/obs"
 	"mmwalign/internal/scenario"
 	"mmwalign/internal/shard"
+	"mmwalign/internal/sweep"
 )
 
 func main() {
@@ -321,7 +321,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 				// not interchangeable even when their configs hash alike.
 				jpath = fmt.Sprintf("%s.fig%d", *checkpoint, f)
 			}
-			jnl, err := openJournal(jpath, f, cfg, *resume, stderr)
+			want, err := experiment.JournalHeader(f, cfg)
+			if err != nil {
+				return err
+			}
+			jnl, err := openCheckpoint(jpath, want, *resume, stderr)
 			if err != nil {
 				return err
 			}
@@ -370,53 +374,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *all || path == "" {
 			path = filepath.Join(*outdir, result.ID+".csv")
 		}
-		fh, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", path, err)
+		if err := writeFile(path, stdout, func(w io.Writer) error {
+			return metrics.WriteCSV(w, result.XLabel, result.Series)
+		}); err != nil {
+			return err
 		}
-		err = metrics.WriteCSV(fh, result.XLabel, result.Series)
-		if cerr := fh.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("write %s: %w", path, err)
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", path)
-
 		if *manifest && result.Manifest != nil {
-			result.Manifest.Version = versionString()
-			result.Manifest.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-			mpath := strings.TrimSuffix(path, filepath.Ext(path)) + ".manifest.json"
-			mf, err := os.Create(mpath)
-			if err != nil {
-				return fmt.Errorf("create %s: %w", mpath, err)
+			if err := writeManifest(result.Manifest, path, stdout); err != nil {
+				return err
 			}
-			// WriteJSON self-validates: a manifest that violates its own
-			// schema fails the run rather than poisoning the audit trail.
-			err = result.Manifest.WriteJSON(mf)
-			if cerr := mf.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("write %s: %w", mpath, err)
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", mpath)
 		}
-
 		if *jsonOut {
 			jpath := strings.TrimSuffix(path, filepath.Ext(path)) + ".json"
-			jf, err := os.Create(jpath)
-			if err != nil {
-				return fmt.Errorf("create %s: %w", jpath, err)
+			if err := writeFile(jpath, stdout, func(w io.Writer) error {
+				return metrics.WriteJSON(w, result.XLabel, result.Series)
+			}); err != nil {
+				return err
 			}
-			err = metrics.WriteJSON(jf, result.XLabel, result.Series)
-			if cerr := jf.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("write %s: %w", jpath, err)
-			}
-			fmt.Fprintf(stdout, "wrote %s\n", jpath)
 		}
 		fmt.Fprintln(stdout)
 	}
@@ -426,38 +400,62 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// openJournal attaches the checkpoint journal for one figure run:
-// resuming validates the existing file against the run's canonical
-// config hash (a mismatch is a refusal, not a warning), anything else
-// starts a fresh journal.
-func openJournal(path string, fig int, cfg experiment.Config, resume bool, stderr io.Writer) (*journal.Journal, error) {
-	want, err := experiment.JournalHeader(fig, cfg)
+// openCheckpoint attaches the checkpoint journal of one run: resuming
+// validates the existing file against the run's header (a changed
+// config is a refusal, not a warning), anything else starts a fresh
+// journal.
+func openCheckpoint(path string, want journal.Header, resume bool, stderr io.Writer) (*journal.Journal, error) {
+	if !resume {
+		if _, err := os.Stat(path); err == nil {
+			fmt.Fprintf(stderr, "figgen: overwriting existing checkpoint %s (pass -resume to continue it)\n", path)
+		}
+	}
+	j, resumed, err := sweep.OpenJournal(path, want, resume)
 	if err != nil {
 		return nil, err
 	}
-	if resume {
-		if _, statErr := os.Stat(path); statErr == nil {
-			j, err := journal.Open(path, want)
-			if err != nil {
-				return nil, fmt.Errorf("resume %s: %w", path, err)
-			}
-			if hv := j.Header().Version; hv != "" && want.Version != "" && hv != want.Version {
-				// Version drift is informational: results are determined
-				// by the config, which the hash already vouched for.
-				fmt.Fprintf(stderr, "figgen: note: journal written by engine %s, resuming with %s\n", hv, want.Version)
-			}
-			fmt.Fprintf(stderr, "figgen: resuming fig%d from %s: %d of %d cells already complete\n",
-				fig, path, j.Len(), want.Drops*len(want.Schemes))
-			return j, nil
-		} else if !errors.Is(statErr, os.ErrNotExist) {
-			return nil, fmt.Errorf("resume %s: %w", path, statErr)
+	switch {
+	case resumed:
+		if hv := j.Header().Version; hv != "" && want.Version != "" && hv != want.Version {
+			// Version drift is informational: results are determined
+			// by the config, which the hash already vouched for.
+			fmt.Fprintf(stderr, "figgen: note: journal written by engine %s, resuming with %s\n", hv, want.Version)
 		}
+		fmt.Fprintf(stderr, "figgen: resuming %s from %s: %d of %d cells already complete\n",
+			want.Figure, path, j.Len(), want.Drops*len(want.Schemes))
+	case resume:
 		fmt.Fprintf(stderr, "figgen: -resume: no journal at %s yet, starting fresh\n", path)
-	} else if _, statErr := os.Stat(path); statErr == nil {
-		fmt.Fprintf(stderr, "figgen: overwriting existing checkpoint %s (pass -resume to continue it)\n", path)
 	}
-	want.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-	return journal.Create(path, want)
+	return j, nil
+}
+
+// writeFile creates path, fills it through write, and reports it on
+// stdout.
+func writeFile(path string, stdout io.Writer, write func(io.Writer) error) error {
+	fh, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("create %s: %w", path, err)
+	}
+	err = write(fh)
+	if cerr := fh.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	fmt.Fprintf(stdout, "wrote %s\n", path)
+	return nil
+}
+
+// writeManifest stamps the run manifest with the engine version and
+// creation time and writes it next to the CSV at csvPath.
+func writeManifest(m *obs.Manifest, csvPath string, stdout io.Writer) error {
+	m.Version = versionString()
+	m.CreatedAt = time.Now().UTC().Format(time.RFC3339)
+	mpath := strings.TrimSuffix(csvPath, filepath.Ext(csvPath)) + ".manifest.json"
+	// WriteJSON self-validates: a manifest that violates its own schema
+	// fails the run rather than poisoning the audit trail.
+	return writeFile(mpath, stdout, m.WriteJSON)
 }
 
 // inspectCheckpoint prints a journal's header, completion tally, and
@@ -704,7 +702,7 @@ func (p *panicProber) Measure(txBeam, rxBeam int, u, v cmat.Vector) meas.Measure
 // VCS stamping when the binary carries it, git describe as the dev-tree
 // fallback.
 func versionString() string {
-	if v := experiment.VersionString(); v != "" {
+	if v := sweep.VersionString(); v != "" {
 		return v
 	}
 	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {

@@ -7,16 +7,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
-	"mmwalign/internal/journal"
 	"mmwalign/internal/metrics"
 	"mmwalign/internal/obs"
 	"mmwalign/internal/scenario"
@@ -70,7 +66,7 @@ func runScenario(ctx context.Context, o scenarioOpts, stdout, stderr io.Writer) 
 	var jpath string
 	if o.checkpoint != "" {
 		jpath = o.checkpoint
-		jnl, err := openScenarioJournal(jpath, o.cfg, o.resume, stderr)
+		jnl, err := openCheckpoint(jpath, scenario.JournalHeader(o.cfg), o.resume, stderr)
 		if err != nil {
 			return err
 		}
@@ -109,18 +105,11 @@ func runScenario(ctx context.Context, o scenarioOpts, stdout, stderr io.Writer) 
 		if err := metrics.PlotASCII(stdout, fig.f.YLabel+" vs "+fig.f.XLabel, fig.f.Series, 64, 14); err != nil {
 			return err
 		}
-		fh, err := os.Create(fig.path)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", fig.path, err)
+		if err := writeFile(fig.path, stdout, func(w io.Writer) error {
+			return metrics.WriteCSV(w, fig.f.XLabel, fig.f.Series)
+		}); err != nil {
+			return err
 		}
-		err = metrics.WriteCSV(fh, fig.f.XLabel, fig.f.Series)
-		if cerr := fh.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("write %s: %w", fig.path, err)
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", fig.path)
 	}
 
 	if o.counters && rec != nil {
@@ -130,21 +119,7 @@ func runScenario(ctx context.Context, o scenarioOpts, stdout, stderr io.Writer) 
 	}
 
 	if o.manifest && res.Manifest != nil {
-		res.Manifest.Version = versionString()
-		res.Manifest.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		mpath := strings.TrimSuffix(timePath, filepath.Ext(timePath)) + ".manifest.json"
-		mf, err := os.Create(mpath)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", mpath, err)
-		}
-		err = res.Manifest.WriteJSON(mf)
-		if cerr := mf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("write %s: %w", mpath, err)
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", mpath)
+		return writeManifest(res.Manifest, timePath, stdout)
 	}
 	return nil
 }
@@ -153,27 +128,4 @@ func runScenario(ctx context.Context, o scenarioOpts, stdout, stderr io.Writer) 
 // figure lands next to the time figure under its own figure ID.
 func siblingPath(timePath, id string) string {
 	return filepath.Join(filepath.Dir(timePath), id+".csv")
-}
-
-// openScenarioJournal mirrors openJournal for the scenario figure ID.
-func openScenarioJournal(path string, cfg scenario.Config, resume bool, stderr io.Writer) (*journal.Journal, error) {
-	want := scenario.JournalHeader(cfg)
-	if resume {
-		if _, statErr := os.Stat(path); statErr == nil {
-			j, err := journal.Open(path, want)
-			if err != nil {
-				return nil, fmt.Errorf("resume %s: %w", path, err)
-			}
-			fmt.Fprintf(stderr, "figgen: resuming scenario from %s: %d of %d cells already complete\n",
-				path, j.Len(), want.Drops*len(want.Schemes))
-			return j, nil
-		} else if !errors.Is(statErr, os.ErrNotExist) {
-			return nil, fmt.Errorf("resume %s: %w", path, statErr)
-		}
-		fmt.Fprintf(stderr, "figgen: -resume: no journal at %s yet, starting fresh\n", path)
-	} else if _, statErr := os.Stat(path); statErr == nil {
-		fmt.Fprintf(stderr, "figgen: overwriting existing checkpoint %s (pass -resume to continue it)\n", path)
-	}
-	want.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-	return journal.Create(path, want)
 }

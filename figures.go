@@ -5,12 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"mmwalign/internal/experiment"
-	"mmwalign/internal/journal"
 	"mmwalign/internal/obs"
+	"mmwalign/internal/sweep"
 )
 
 // FigureSeries is one curve of a reproduced paper figure.
@@ -331,16 +330,7 @@ func ReproduceFigureContext(ctx context.Context, figure, drops int, seed int64, 
 		if err != nil {
 			return FigureResult{}, fmt.Errorf("mmwalign: %w", err)
 		}
-		var jnl *journal.Journal
-		if opt.Resume {
-			if _, statErr := os.Stat(opt.Checkpoint); statErr == nil {
-				jnl, err = journal.Open(opt.Checkpoint, want)
-			} else {
-				jnl, err = journal.Create(opt.Checkpoint, want)
-			}
-		} else {
-			jnl, err = journal.Create(opt.Checkpoint, want)
-		}
+		jnl, _, err := sweep.OpenJournal(opt.Checkpoint, want, opt.Resume)
 		if err != nil {
 			return FigureResult{}, fmt.Errorf("mmwalign: checkpoint: %w", err)
 		}

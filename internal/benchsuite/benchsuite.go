@@ -9,6 +9,7 @@
 package benchsuite
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -279,7 +280,7 @@ func BenchMulticell(b *testing.B) {
 	b.ReportAllocs()
 	var m float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiment.Generate(5, MulticellConfig())
+		fig, err := experiment.GenerateContext(context.Background(), 5, MulticellConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -315,7 +316,7 @@ func BenchScenario(b *testing.B) {
 	var res scenario.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = scenario.Run(ScenarioConfig())
+		res, err = scenario.RunContext(context.Background(), ScenarioConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -353,7 +354,7 @@ func FigureMetric(fig experiment.Figure) (float64, bool) {
 // RunFigure regenerates the given paper figure on the reduced benchmark
 // configuration and returns its fidelity metric.
 func RunFigure(figure int) (float64, error) {
-	fig, err := experiment.Generate(figure, FigureConfig(figure))
+	fig, err := experiment.GenerateContext(context.Background(), figure, FigureConfig(figure))
 	if err != nil {
 		return 0, err
 	}

@@ -122,7 +122,7 @@ func (g *gemmBatcher) run() {
 // order within a group) and runs each group as one panel batch. A
 // kernel panic is fanned out to every member of its group — the group
 // shares one execution, so it shares the failure — and each affected
-// cell turns it into its own attributed *PanicError.
+// cell turns it into its own attributed *sweep.PanicError.
 func (g *gemmBatcher) execute(pending []gemmRequest) {
 	g.requests.Add(int64(len(pending)))
 	byShape := make(map[gemmShape][]gemmRequest, 1)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-
-	"mmwalign/internal/rng"
 )
 
 // CellBudget returns the per-cell measurement budget a figure sweep
@@ -31,14 +29,14 @@ func ComputeCell(ctx context.Context, figure int, cfg Config, drop int, scheme s
 	if err != nil {
 		return nil, 0, err
 	}
-	root := rng.New(rc.Seed)
-	c := runCellWithRetry(ctx, rc, root, drop, scheme, rc.CellBudget(), &runStats{})
-	if c.err != nil {
-		return nil, c.attempts, c.err
+	s := rc.sweepSpec(rc.CellBudget())
+	r := s.RunCell(ctx, drop, scheme, s.NewStats())
+	if r.Err != nil {
+		return nil, r.Attempts, r.Err
 	}
-	payload, err := encodeTrajectory(c.tr)
+	payload, err := encodeTrajectory(r.Value)
 	if err != nil {
-		return nil, c.attempts, err
+		return nil, r.Attempts, err
 	}
-	return payload, c.attempts, nil
+	return payload, r.Attempts, nil
 }

@@ -16,7 +16,7 @@ func TestComputeCellMatchesSweepPayloads(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig5.journal")
 	jcfg := cfg
 	jcfg.Journal = openTestJournal(t, path, cfg, false)
-	if _, err := Generate(5, jcfg); err != nil {
+	if _, err := GenerateContext(context.Background(), 5, jcfg); err != nil {
 		t.Fatal(err)
 	}
 

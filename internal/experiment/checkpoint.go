@@ -1,14 +1,13 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 
 	"mmwalign/internal/align"
 	"mmwalign/internal/journal"
+	"mmwalign/internal/sweep"
 )
 
 // CanonicalHash returns the canonical hash of everything in the config
@@ -29,14 +28,7 @@ func (c Config) CanonicalHash() string {
 	c.MaxRetries = 0
 	c.RetryBackoff = 0
 	c.Journal = nil
-	data, err := json.Marshal(c)
-	if err != nil {
-		// Config is a plain data struct; Marshal cannot fail on it. Keep
-		// the path total anyway.
-		return "unhashable"
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return sweep.Hash(c)
 }
 
 // ConfigForFigure resolves the figure-specific config exactly as
@@ -68,14 +60,7 @@ func JournalHeader(figure int, cfg Config) (journal.Header, error) {
 	if err != nil {
 		return journal.Header{}, err
 	}
-	return journal.Header{
-		Figure:     figID,
-		ConfigHash: rc.CanonicalHash(),
-		Version:    VersionString(),
-		Seed:       rc.Seed,
-		Drops:      rc.Drops,
-		Schemes:    append([]string(nil), rc.Schemes...),
-	}, nil
+	return sweep.Header(figID, rc.CanonicalHash(), rc.Seed, rc.Drops, rc.Schemes), nil
 }
 
 // trajRecord is the journal payload of one completed cell. Every

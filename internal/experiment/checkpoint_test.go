@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"mmwalign/internal/align"
 	"mmwalign/internal/faultinject"
@@ -79,7 +78,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			cfg.Workers = workers
 
 			// Ground truth: one uninterrupted run, no journal.
-			clean, err := SearchEffectiveness(cfg)
+			clean, err := SearchEffectivenessContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +89,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			crashed := cfg
 			crashed.WrapSounder = panicOnDrop(1)
 			crashed.Journal = openTestJournal(t, path, cfg, false)
-			if _, err := SearchEffectiveness(crashed); err == nil {
+			if _, err := SearchEffectivenessContext(context.Background(), crashed); err == nil {
 				t.Fatal("injected panic did not fail the strict run")
 			}
 			crashed.Journal.Close()
@@ -138,7 +137,7 @@ func TestCheckpointCancelMidRunThenResume(t *testing.T) {
 	cfg := tinyConfig(false)
 	cfg.Workers = 2
 
-	clean, err := SearchEffectiveness(cfg)
+	clean, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestCheckpointCancelMidRunThenResume(t *testing.T) {
 
 	resumed := cfg
 	resumed.Journal = openTestJournal(t, path, cfg, true)
-	fig, err := SearchEffectiveness(resumed)
+	fig, err := SearchEffectivenessContext(context.Background(), resumed)
 	if err != nil {
 		t.Fatalf("resume after cancellation failed: %v", err)
 	}
@@ -204,7 +203,7 @@ func TestCheckpointRefusesChangedConfig(t *testing.T) {
 func TestRetryRecoversTransientFaultWithoutBudget(t *testing.T) {
 	cfg := tinyConfig(false)
 
-	clean, err := SearchEffectiveness(cfg)
+	clean, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +247,7 @@ func TestRetryRecoversNaNModeFault(t *testing.T) {
 	faulted := cfg
 	faulted.WrapSounder = faultinject.WrapTransient(1, faultinject.TransientNaN)
 	faulted.MaxRetries = 1
-	fig, err := SearchEffectiveness(faulted)
+	fig, err := SearchEffectivenessContext(context.Background(), faulted)
 	if err != nil {
 		// NaN poisoning degrades rather than fails on some strategies;
 		// either a clean success or a retried success is acceptable, an
@@ -267,7 +266,7 @@ func TestRetryExhaustedReportsAttempts(t *testing.T) {
 	cfg.WrapSounder = panicOnDrop(0) // permanent: every attempt panics
 	cfg.MaxRetries = 2
 
-	_, err := SearchEffectiveness(cfg)
+	_, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("permanent fault survived strict mode")
 	}
@@ -277,7 +276,7 @@ func TestRetryExhaustedReportsAttempts(t *testing.T) {
 
 	// Under budget, the failure report itself carries the attempt count.
 	cfg.MaxFailedDrops = 1
-	fig, err := SearchEffectiveness(cfg)
+	fig, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,55 +340,15 @@ func TestTrajectoryCodecRoundTripIsBitExact(t *testing.T) {
 	}
 }
 
-func TestRetryDelayCapped(t *testing.T) {
-	if d := retryDelay(0, 5); d != 0 {
-		t.Errorf("zero base gave %v", d)
+// TestCanonicalHashPinned pins the default Fig. 5 config hash: a change
+// to the hashed JSON (a field, a tag, a default, the hash function)
+// would silently orphan every journal already written.
+func TestCanonicalHashPinned(t *testing.T) {
+	h, err := JournalHeader(5, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := retryDelay(1, 0)
-	if base != 1 {
-		t.Errorf("first retry delay = %v, want base", base)
-	}
-	if d := retryDelay(1, 40); d > 100 {
-		t.Errorf("delay %v exceeds 100x cap", d)
-	}
-	if d1, d2 := retryDelay(1, 1), retryDelay(1, 2); d2 != 2*d1 {
-		t.Errorf("delays not doubling: %v then %v", d1, d2)
-	}
-}
-
-func TestRetryDelayOverflow(t *testing.T) {
-	const maxDelay = time.Duration(math.MaxInt64)
-	cases := []struct {
-		name    string
-		base    time.Duration
-		attempt int
-		want    time.Duration
-	}{
-		{"doubling-0", time.Millisecond, 0, time.Millisecond},
-		{"doubling-1", time.Millisecond, 1, 2 * time.Millisecond},
-		{"doubling-5", time.Millisecond, 5, 32 * time.Millisecond},
-		{"small-base-5s-cap", time.Second, 30, 5 * time.Second},
-		// 2^63·base overflows int64 for any positive base: the shift
-		// count must be bounded, not wrapped through the sign bit.
-		{"attempt-63", time.Nanosecond, 63, 100 * time.Nanosecond},
-		{"attempt-64", time.Nanosecond, 64, 100 * time.Nanosecond},
-		{"attempt-1000", time.Nanosecond, 1000, 100 * time.Nanosecond},
-		// 100·base wraps int64 when base > MaxInt64/100; the cap must
-		// saturate instead of going negative.
-		{"base-near-max", maxDelay - 1, 0, maxDelay - 1},
-		{"base-near-max-retry", maxDelay - 1, 5, maxDelay},
-		{"base-near-max-attempt-63", maxDelay - 1, 63, maxDelay},
-		{"base-just-over-cap-limit", maxDelay/100 + 1, 10, maxDelay},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := retryDelay(tc.base, tc.attempt)
-			if got < 0 {
-				t.Fatalf("retryDelay(%v, %d) = %v, negative (overflow)", tc.base, tc.attempt, got)
-			}
-			if got != tc.want {
-				t.Errorf("retryDelay(%v, %d) = %v, want %v", tc.base, tc.attempt, got, tc.want)
-			}
-		})
+	if want := "a89f986cc3df1f537ea45d47bc6e7834c2c70004c7d68c9ea58a68519340ad25"; h.ConfigHash != want {
+		t.Fatalf("default fig5 config hash %s, want %s", h.ConfigHash, want)
 	}
 }

@@ -18,10 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mmwalign/internal/align"
@@ -33,6 +29,7 @@ import (
 	"mmwalign/internal/metrics"
 	"mmwalign/internal/obs"
 	"mmwalign/internal/rng"
+	"mmwalign/internal/sweep"
 )
 
 // Config parameterizes a figure regeneration. Zero fields take the
@@ -229,7 +226,7 @@ type DropFailure struct {
 	// retry budget.
 	Attempts int
 	// Err is the attributed failure of the final attempt (a
-	// *PanicError for recovered panics).
+	// *sweep.PanicError for recovered panics).
 	Err error
 }
 
@@ -263,27 +260,6 @@ func (r *FailureReport) Err() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// PanicError is a worker panic recovered into an attributed error: the
-// drop and scheme that crashed, the panic value, and the goroutine
-// stack at the point of the panic. It preserves failure isolation — a
-// shape or index bug in one drop's linear algebra becomes one failed
-// cell instead of a process crash.
-type PanicError struct {
-	// Drop and Scheme attribute the cell that panicked.
-	Drop int
-	// Scheme is the strategy name.
-	Scheme string
-	// Value is the recovered panic value.
-	Value any
-	// Stack is the goroutine stack captured at recovery.
-	Stack []byte
-}
-
-// Error implements error.
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("experiment: drop %d scheme %s panicked: %v\n%s", e.Drop, e.Scheme, e.Value, e.Stack)
 }
 
 // buildEnv creates the per-drop, per-scheme environment. All schemes of
@@ -395,264 +371,58 @@ func makeStrategy(cfg Config, name string, env *align.Env) (align.Strategy, erro
 	}
 }
 
-// cell is one (drop, scheme) result slot.
-type cell struct {
-	tr  align.Trajectory
-	err error
-	// attempts is how many times the cell ran (0 for a resume-skip:
-	// the work happened in a previous process).
-	attempts int
-	// resumed marks a cell satisfied from the journal.
-	resumed bool
-}
-
-// runCell executes one (drop, scheme) computation and attributes any
-// failure with its coordinates. Cancellation errors pass through
-// unwrapped so callers can match errors.Is(err, context.Canceled).
-func runCell(ctx context.Context, cfg Config, root *rng.Source, drop int, scheme string, budget int) cell {
-	attr := func(err error) cell {
-		if ctx.Err() != nil {
-			return cell{err: ctx.Err()}
-		}
-		return cell{err: fmt.Errorf("experiment: drop %d scheme %s: %w", drop, scheme, err)}
-	}
-	if err := ctx.Err(); err != nil {
-		return cell{err: err}
-	}
-	env, err := buildEnv(cfg, root, drop, scheme, obs.From(ctx))
-	if err != nil {
-		return attr(err)
-	}
-	strat, err := makeStrategy(cfg, scheme, env)
-	if err != nil {
-		return attr(err)
-	}
-	tr, err := align.EvaluateContext(ctx, env, strat, budget)
-	if err != nil {
-		return attr(err)
-	}
-	return cell{tr: tr}
-}
-
-// runCellAttempt is one recovered attempt of a cell: a panic anywhere
-// in the computation becomes an attributed *PanicError instead of
-// crossing the retry loop, so a panicking first attempt is as
-// retryable as an erroring one.
-func runCellAttempt(ctx context.Context, cfg Config, root *rng.Source, drop int, scheme string, budget int) (c cell) {
-	defer func() {
-		if r := recover(); r != nil {
-			c = cell{err: &PanicError{Drop: drop, Scheme: scheme, Value: r, Stack: debug.Stack()}}
-		}
-	}()
-	return runCell(ctx, cfg, root, drop, scheme, budget)
-}
-
-// retryDelay returns the capped exponential backoff before retry
-// number attempt (0-based): base, 2·base, 4·base, … capped at 100×
-// base, or at 5s when retries are configured with no base. Every step
-// is overflow-guarded: 100·base can wrap int64 for a pathological
-// base, and doubling past attempt 62 shifts through the sign bit —
-// both used to surface as negative (i.e. zero) delays, so the cap is
-// computed saturating and the exponent is bounded before any multiply.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	const maxDelay = time.Duration(math.MaxInt64)
-	cap := maxDelay
-	if base <= maxDelay/100 {
-		cap = 100 * base
-	}
-	if cap > 5*time.Second && base <= 5*time.Second {
-		cap = 5 * time.Second
-	}
-	// 2^attempt·base with attempt ≥ 63 exceeds int64 for any positive
-	// base; saturate at the cap without shifting at all.
-	if attempt >= 63 {
-		return cap
-	}
-	d := base
-	for i := 0; i < attempt; i++ {
-		if d > cap/2 {
-			// The next doubling would pass the cap (or wrap); the
-			// backoff has saturated.
-			return cap
-		}
-		d *= 2
-	}
-	if d > cap {
-		return cap
-	}
-	return d
-}
-
-// runCellWithRetry runs a cell through the retry engine: up to
-// cfg.MaxRetries re-runs after a failed attempt, with capped
-// exponential backoff between attempts. Cancellation is never retried
-// (the run is shutting down), and a success after retries is
-// indistinguishable from a first-attempt success in the results —
-// cells are deterministic in (seed, drop, scheme) — so retries cannot
-// perturb figure bytes, only rescue transiently failed cells from the
-// MaxFailedDrops budget.
-func runCellWithRetry(ctx context.Context, cfg Config, root *rng.Source, drop int, scheme string, budget int, st *runStats) cell {
-	rec := obs.From(ctx)
-	var c cell
-	for attempt := 0; ; attempt++ {
-		c = runCellAttempt(ctx, cfg, root, drop, scheme, budget)
-		c.attempts = attempt + 1
-		if c.err == nil {
-			if attempt > 0 {
-				st.retryRecovered.Add(1)
-				rec.Counter("retry_recovered_cells").Add(1)
+// sweepSpec describes the config's (drop, scheme) grid to the sweep
+// engine: a cell builds its drop's environment and runs the scheme on
+// it with the given measurement budget, and its trajectory is journaled
+// through the bit-exact codec.
+func (c Config) sweepSpec(budget int) sweep.Spec[align.Trajectory] {
+	root := rng.New(c.Seed)
+	return sweep.Spec[align.Trajectory]{
+		Name:    "experiment",
+		Drops:   c.Drops,
+		Schemes: c.Schemes,
+		Cell: func(ctx context.Context, drop int, scheme string) (align.Trajectory, error) {
+			env, err := buildEnv(c, root, drop, scheme, obs.From(ctx))
+			if err != nil {
+				return align.Trajectory{}, err
 			}
-			return c
-		}
-		if ctx.Err() != nil || attempt >= cfg.MaxRetries {
-			if attempt > 0 && ctx.Err() == nil {
-				st.retryExhausted.Add(1)
-				rec.Counter("retry_exhausted_cells").Add(1)
+			strat, err := makeStrategy(c, scheme, env)
+			if err != nil {
+				return align.Trajectory{}, err
 			}
-			return c
-		}
-		st.retryAttempts.Add(1)
-		rec.Counter("retry_attempts").Add(1)
-		if delay := retryDelay(cfg.RetryBackoff, attempt); delay > 0 {
-			t := time.NewTimer(delay)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return cell{err: ctx.Err(), attempts: attempt + 1}
-			case <-t.C:
-			}
-		}
+			return align.EvaluateContext(ctx, env, strat, budget)
+		},
+		Encode:       encodeTrajectory,
+		Decode:       decodeTrajectory,
+		Workers:      c.Workers,
+		MaxRetries:   c.MaxRetries,
+		RetryBackoff: c.RetryBackoff,
+		Journal:      c.Journal,
 	}
-}
-
-// runStats tallies the robustness machinery of one run — resume skips
-// and retry outcomes — for the manifest's Resume/Retries evidence.
-// Atomic because drop workers update it concurrently.
-type runStats struct {
-	resumedCells   atomic.Int64
-	retryAttempts  atomic.Int64
-	retryRecovered atomic.Int64
-	retryExhausted atomic.Int64
 }
 
 // trajectories runs every configured scheme on every drop with the given
 // measurement budget and feeds each per-drop trajectory to visit, in
 // deterministic (drop-major, scheme order) sequence.
 //
-// Drops execute concurrently on a bounded worker pool: rng splits are
-// pure functions of (seed, name), so each (drop, scheme) cell is an
-// isolated computation and the parallel schedule cannot change any
-// result. Results are buffered and visited in order, making the output
-// bit-identical to a sequential run (WrapSounder hooks must themselves
-// be deterministic in (drop, scheme) to preserve this).
-//
-// Failure isolation: a panic in any cell is recovered into an
-// attributed *PanicError, and every cell error is collected — never
-// just the first. A failed cell is re-run up to Config.MaxRetries
-// times (with capped exponential backoff) before it counts. Under the
-// error budget (Config.MaxFailedDrops) failed drops are skipped for
-// all schemes (keeping the per-scheme aggregates comparable) and
-// reported; over budget, the joined errors are returned. Cancelling
-// ctx stops spawning, drains the running workers, and returns the
-// context's error — with every finished cell already fsynced to
-// Config.Journal when one is attached, which is what makes the
-// interruption resumable.
-func trajectories(ctx context.Context, cfg Config, budget int, visit func(scheme string, drop int, tr align.Trajectory)) (*FailureReport, *runStats, error) {
-	root := rng.New(cfg.Seed)
-	rec := obs.From(ctx)
-	rec.StartRun(cfg.Drops * len(cfg.Schemes))
-	st := &runStats{}
-
-	results := make([][]cell, cfg.Drops)
-	for d := range results {
-		results[d] = make([]cell, len(cfg.Schemes))
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// The cells run on the sweep engine (worker pool, journal resume and
+// record, panic attribution, retries, cancel-and-drain), which keeps
+// the output bit-identical to a sequential run (WrapSounder hooks must
+// themselves be deterministic in (drop, scheme) to preserve this).
+// What a failure means is decided here: under the error budget
+// (Config.MaxFailedDrops) failed drops are skipped for all schemes
+// (keeping the per-scheme aggregates comparable) and reported; over
+// budget, the joined errors are returned.
+func trajectories(ctx context.Context, cfg Config, budget int, visit func(scheme string, drop int, tr align.Trajectory)) (*FailureReport, *sweep.Stats, error) {
 	if cfg.CrossCellBatch {
 		// One scheduler for the whole run; stopped only after every
 		// worker has drained, so no MulInto can race the close.
-		cfg.batcher = newGemmBatcher(rec)
+		cfg.batcher = newGemmBatcher(obs.From(ctx))
 		defer cfg.batcher.stop()
 	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	// The first journal-write error aborts checkpointing credibility
-	// for the whole run, so it is surfaced as a run error after the
-	// workers drain rather than silently degrading durability.
-	var journalErr atomic.Pointer[error]
-spawn:
-	for drop := 0; drop < cfg.Drops; drop++ {
-		for si, scheme := range cfg.Schemes {
-			drop, si, scheme := drop, si, scheme
-			if cfg.Journal != nil {
-				if payload, ok := cfg.Journal.Lookup(drop, scheme); ok {
-					// Resume skip: the journaled trajectory is bit-exact,
-					// so consuming it is indistinguishable from re-running
-					// the cell. A payload that fails to decode is treated
-					// as not-completed and recomputed — the journal's CRC
-					// already vouched for the bytes, so this only fires
-					// across an engine codec change.
-					tr, err := decodeTrajectory(payload)
-					if err == nil {
-						results[drop][si] = cell{tr: tr, resumed: true}
-						st.resumedCells.Add(1)
-						rec.Counter("resume_skipped_cells").Add(1)
-						rec.CellDone(false)
-						continue
-					}
-					rec.Counter("resume_decode_failures").Add(1)
-				}
-			}
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				break spawn
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				defer func() {
-					if r := recover(); r != nil {
-						results[drop][si] = cell{err: &PanicError{Drop: drop, Scheme: scheme, Value: r, Stack: debug.Stack()}}
-					}
-					// Progress is emitted on every completion — including
-					// recovered panics — so live failure counts match the
-					// eventual FailureReport.
-					rec.CellDone(results[drop][si].err != nil)
-				}()
-				c := runCellWithRetry(ctx, cfg, root, drop, scheme, budget, st)
-				results[drop][si] = c
-				if c.err == nil && cfg.Journal != nil {
-					// Record-then-fsync before the slot is observable as
-					// done: once CellDone fires, a crash cannot lose the
-					// cell.
-					payload, err := encodeTrajectory(c.tr)
-					if err == nil {
-						err = cfg.Journal.Record(drop, scheme, payload)
-					}
-					if err != nil {
-						journalErr.CompareAndSwap(nil, &err)
-					} else {
-						rec.Counter("journal_cells_recorded").Add(1)
-					}
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	results, st, err := cfg.sweepSpec(budget).Run(ctx)
+	if err != nil {
 		return nil, st, err
-	}
-	if errp := journalErr.Load(); errp != nil {
-		return nil, st, fmt.Errorf("experiment: checkpoint journal write failed (results would not be resumable): %w", *errp)
 	}
 
 	// Collect every failure with attribution; a drop is excluded for all
@@ -662,9 +432,9 @@ spawn:
 	var failures []DropFailure
 	for drop := 0; drop < cfg.Drops; drop++ {
 		for si, scheme := range cfg.Schemes {
-			if c := results[drop][si]; c.err != nil {
+			if r := results[drop][si]; r.Err != nil {
 				failedDrop[drop] = true
-				failures = append(failures, DropFailure{Drop: drop, Scheme: scheme, Attempts: c.attempts, Err: c.err})
+				failures = append(failures, DropFailure{Drop: drop, Scheme: scheme, Attempts: r.Attempts, Err: r.Err})
 			}
 		}
 	}
@@ -690,7 +460,7 @@ spawn:
 			continue
 		}
 		for si, scheme := range cfg.Schemes {
-			visit(scheme, drop, results[drop][si].tr)
+			visit(scheme, drop, results[drop][si].Value)
 		}
 	}
 	return report, st, nil
@@ -701,17 +471,10 @@ func (c Config) totalPairs() int {
 	return c.TXBookAz * c.TXBookEl * c.RXBookAz * c.RXBookEl
 }
 
-// SearchEffectiveness regenerates Fig. 5 (single-path) or Fig. 6
+// SearchEffectivenessContext regenerates Fig. 5 (single-path) or Fig. 6
 // (multipath): mean SNR loss of the selected pair at each search rate.
-// It is the non-cancellable convenience form of
-// SearchEffectivenessContext.
-func SearchEffectiveness(cfg Config) (Figure, error) {
-	return SearchEffectivenessContext(context.Background(), cfg)
-}
-
-// SearchEffectivenessContext is SearchEffectiveness with cooperative
-// cancellation and first-class partial results: failed drops within the
-// error budget are excluded and reported in Figure.Failures.
+// Cancelling ctx stops the sweep; failed drops within the error budget
+// are excluded and reported in Figure.Failures.
 func SearchEffectivenessContext(ctx context.Context, cfg Config) (Figure, error) {
 	cfg = cfg.WithDefaults()
 	start := time.Now()
@@ -763,19 +526,13 @@ func SearchEffectivenessContext(ctx context.Context, cfg Config) (Figure, error)
 	return fig, nil
 }
 
-// CostEfficiency regenerates Fig. 7 (single-path) or Fig. 8 (multipath):
-// the mean search rate each scheme needs before the loss of its current
-// best pair first drops to the target. Runs that never reach a target
-// within the sweep budget are counted at the full budget (a conservative
-// lower bound, noted in EXPERIMENTS.md). It is the non-cancellable
-// convenience form of CostEfficiencyContext.
-func CostEfficiency(cfg Config) (Figure, error) {
-	return CostEfficiencyContext(context.Background(), cfg)
-}
-
-// CostEfficiencyContext is CostEfficiency with cooperative cancellation
-// and first-class partial results: failed drops within the error budget
-// are excluded and reported in Figure.Failures.
+// CostEfficiencyContext regenerates Fig. 7 (single-path) or Fig. 8
+// (multipath): the mean search rate each scheme needs before the loss
+// of its current best pair first drops to the target. Runs that never
+// reach a target within the sweep budget are counted at the full budget
+// (a conservative lower bound, noted in EXPERIMENTS.md). Cancelling ctx
+// stops the sweep; failed drops within the error budget are excluded
+// and reported in Figure.Failures.
 func CostEfficiencyContext(ctx context.Context, cfg Config) (Figure, error) {
 	cfg = cfg.WithDefaults()
 	start := time.Now()
@@ -822,12 +579,6 @@ func CostEfficiencyContext(ctx context.Context, cfg Config) (Figure, error) {
 	}
 	fig.Manifest = buildManifest(cfg, &fig, obs.From(ctx), time.Since(start), stats)
 	return fig, nil
-}
-
-// Generate regenerates a figure by paper number (5–8). It is the
-// non-cancellable convenience form of GenerateContext.
-func Generate(figure int, cfg Config) (Figure, error) {
-	return GenerateContext(context.Background(), figure, cfg)
 }
 
 // GenerateContext regenerates a figure by paper number (5–8) with

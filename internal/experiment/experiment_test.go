@@ -40,7 +40,7 @@ func TestWithDefaults(t *testing.T) {
 }
 
 func TestSearchEffectivenessShape(t *testing.T) {
-	fig, err := SearchEffectiveness(tinyConfig(false))
+	fig, err := SearchEffectivenessContext(context.Background(), tinyConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSearchEffectivenessShape(t *testing.T) {
 }
 
 func TestSearchEffectivenessMultipathID(t *testing.T) {
-	fig, err := SearchEffectiveness(tinyConfig(true))
+	fig, err := SearchEffectivenessContext(context.Background(), tinyConfig(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSearchEffectivenessMultipathID(t *testing.T) {
 }
 
 func TestCostEfficiencyShape(t *testing.T) {
-	fig, err := CostEfficiency(tinyConfig(false))
+	fig, err := CostEfficiencyContext(context.Background(), tinyConfig(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,26 +103,26 @@ func TestGenerateDispatch(t *testing.T) {
 	cfg := tinyConfig(false)
 	ids := map[int]string{5: "fig5", 6: "fig6", 7: "fig7", 8: "fig8"}
 	for figNum, wantID := range ids {
-		fig, err := Generate(figNum, cfg)
+		fig, err := GenerateContext(context.Background(), figNum, cfg)
 		if err != nil {
 			t.Fatalf("fig %d: %v", figNum, err)
 		}
 		if fig.ID != wantID {
-			t.Errorf("Generate(%d).ID = %q, want %q", figNum, fig.ID, wantID)
+			t.Errorf("GenerateContext(%d).ID = %q, want %q", figNum, fig.ID, wantID)
 		}
 	}
-	if _, err := Generate(4, cfg); err == nil {
-		t.Error("Generate(4) should fail")
+	if _, err := GenerateContext(context.Background(), 4, cfg); err == nil {
+		t.Error("GenerateContext(4) should fail")
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	cfg := tinyConfig(false)
-	a, err := SearchEffectiveness(cfg)
+	a, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SearchEffectiveness(cfg)
+	b, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestUnknownSchemeRejected(t *testing.T) {
 	cfg := tinyConfig(false)
 	cfg.Schemes = []string{"psychic"}
-	if _, err := SearchEffectiveness(cfg); err == nil {
+	if _, err := SearchEffectivenessContext(context.Background(), cfg); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
@@ -189,7 +189,7 @@ func TestUnknownSchemeRejected(t *testing.T) {
 func TestHierarchicalSchemeSupported(t *testing.T) {
 	cfg := tinyConfig(false)
 	cfg.Schemes = []string{"hierarchical"}
-	fig, err := SearchEffectiveness(cfg)
+	fig, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestProposedBeatsBaselinesIntegration(t *testing.T) {
 			SearchRates: []float64{0.25},
 			Schemes:     []string{"random", "scan", "proposed"},
 		}
-		fig, err := SearchEffectiveness(cfg)
+		fig, err := SearchEffectivenessContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

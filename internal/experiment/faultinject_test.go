@@ -18,6 +18,7 @@ import (
 	"mmwalign/internal/cmat"
 	"mmwalign/internal/faultinject"
 	"mmwalign/internal/meas"
+	"mmwalign/internal/sweep"
 )
 
 // panicProber crashes on the first pair measurement — the stand-in for
@@ -45,7 +46,7 @@ func TestFaultInjectPanicIsolatedUnderBudget(t *testing.T) {
 	cfg.WrapSounder = panicOnDrop(1)
 	cfg.MaxFailedDrops = 1
 
-	fig, err := SearchEffectiveness(cfg)
+	fig, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("a budgeted panic must not fail the figure: %v", err)
 	}
@@ -55,7 +56,7 @@ func TestFaultInjectPanicIsolatedUnderBudget(t *testing.T) {
 	if fig.Failures.FailedDrops != 1 || fig.Failures.TotalDrops != cfg.Drops {
 		t.Fatalf("report = %+v, want 1 of %d drops failed", fig.Failures, cfg.Drops)
 	}
-	var pe *PanicError
+	var pe *sweep.PanicError
 	if !errors.As(fig.Failures.Err(), &pe) {
 		t.Fatalf("joined failures lack a *PanicError: %v", fig.Failures.Err())
 	}
@@ -82,11 +83,11 @@ func TestFaultInjectPanicOverBudgetFailsWithAttribution(t *testing.T) {
 	cfg.WrapSounder = panicOnDrop(0)
 	// MaxFailedDrops defaults to 0: strict mode.
 
-	_, err := SearchEffectiveness(cfg)
+	_, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("strict mode swallowed a panicked drop")
 	}
-	var pe *PanicError
+	var pe *sweep.PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error chain lacks the *PanicError: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestFaultInjectInjectedFaultsDegradeNotCrash(t *testing.T) {
 		BlockAfter: 16,
 	})
 
-	fig, err := SearchEffectiveness(cfg)
+	fig, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("fault injection crashed the engine: %v", err)
 	}
@@ -135,7 +136,7 @@ func TestFaultInjectWorkerCountInvariance(t *testing.T) {
 			}
 			return faulty(drop, scheme, p)
 		}
-		fig, err := SearchEffectiveness(cfg)
+		fig, err := SearchEffectivenessContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

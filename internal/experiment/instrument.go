@@ -1,14 +1,12 @@
 package experiment
 
 import (
-	"encoding/json"
-	"runtime"
-	"runtime/debug"
 	"time"
 
 	"mmwalign/internal/cmat"
 	"mmwalign/internal/meas"
 	"mmwalign/internal/obs"
+	"mmwalign/internal/sweep"
 )
 
 // obsProber times pair measurements and counts them. It is purely
@@ -30,52 +28,12 @@ func (p *obsProber) Measure(txBeam, rxBeam int, u, v cmat.Vector) meas.Measureme
 	return m
 }
 
-// buildManifest assembles the run manifest for a completed figure:
-// the fully defaulted config and seed always; phase timings, counters
-// and solver aggregates when a recorder observed the run; resume and
-// retry evidence when the robustness layers were engaged. The CLI
-// layer stamps Version/CreatedAt before persisting.
-func buildManifest(cfg Config, fig *Figure, rec *obs.Recorder, elapsed time.Duration, stats *runStats) *obs.Manifest {
-	m := &obs.Manifest{
-		Schema:    obs.ManifestSchema,
-		Figure:    fig.ID,
-		Title:     fig.Title,
-		Seed:      cfg.Seed,
-		GoVersion: runtime.Version(),
-		ElapsedNS: elapsed.Nanoseconds(),
-	}
-	if cfgJSON, err := json.Marshal(cfg); err == nil {
-		m.Config = cfgJSON
-	}
-	if rec != nil {
-		snap := rec.Snapshot()
-		m.Instrumented = true
-		m.Phases = snap.Phases
-		m.Counters = snap.Counters
-		m.Solver = snap.Solver
-	}
-	if cfg.Journal != nil {
-		h := cfg.Journal.Header()
-		m.Resume = &obs.ResumeSummary{
-			Journal:      cfg.Journal.Path(),
-			ConfigHash:   h.ConfigHash,
-			TotalCells:   cfg.Drops * len(cfg.Schemes),
-			SkippedCells: int(stats.resumedCells.Load()),
-		}
-		// Distinct cells on record minus the skips is what this run
-		// contributed (last-write-wins dedup makes Len distinct).
-		if n := cfg.Journal.Len() - m.Resume.SkippedCells; n > 0 {
-			m.Resume.RecordedCells = n
-		}
-	}
-	if cfg.MaxRetries > 0 {
-		m.Retries = &obs.RetrySummary{
-			MaxRetries:     cfg.MaxRetries,
-			Attempts:       stats.retryAttempts.Load(),
-			RecoveredCells: stats.retryRecovered.Load(),
-			ExhaustedCells: stats.retryExhausted.Load(),
-		}
-	}
+// buildManifest assembles the run manifest for a completed figure: the
+// sweep's manifest core (config, seed, instrumentation, resume and
+// retry evidence) plus the figure's failure summary. The CLI layer
+// stamps Version/CreatedAt before persisting.
+func buildManifest(cfg Config, fig *Figure, rec *obs.Recorder, elapsed time.Duration, stats *sweep.Stats) *obs.Manifest {
+	m := stats.Manifest(fig.ID, fig.Title, cfg.Seed, cfg, rec, elapsed)
 	if fig.Failures != nil {
 		fs := &obs.FailureSummary{
 			FailedDrops: fig.Failures.FailedDrops,
@@ -91,37 +49,4 @@ func buildManifest(cfg Config, fig *Figure, rec *obs.Recorder, elapsed time.Dura
 		m.Failures = fs
 	}
 	return m
-}
-
-// VersionString identifies the source tree for manifest stamping: the
-// module version/VCS revision from build info when present. Returns ""
-// when nothing is known (e.g. a test binary); the CLIs fall back to
-// git describe in that case.
-func VersionString() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return ""
-	}
-	var rev, modified string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
-	}
-	if rev != "" {
-		if len(rev) > 12 {
-			rev = rev[:12]
-		}
-		if modified == "true" {
-			rev += "-dirty"
-		}
-		return rev
-	}
-	if v := bi.Main.Version; v != "" && v != "(devel)" {
-		return v
-	}
-	return ""
 }

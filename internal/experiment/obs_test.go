@@ -31,7 +31,7 @@ func TestInstrumentationIsNumericsNeutral(t *testing.T) {
 	cfg := tinyConfig(false)
 	cfg.Workers = 8
 
-	plain, err := SearchEffectiveness(cfg)
+	plain, err := SearchEffectivenessContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("uninstrumented run: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestManifestCarriesRunEvidence(t *testing.T) {
 }
 
 func TestManifestWithoutRecorderIsStillValid(t *testing.T) {
-	fig, err := SearchEffectiveness(tinyConfig(false))
+	fig, err := SearchEffectivenessContext(context.Background(), tinyConfig(false))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -60,7 +60,7 @@ type Header struct {
 	// resume with a different hash is refused with *MismatchError.
 	ConfigHash string `json:"config_hash"`
 	// Version identifies the engine that wrote the journal
-	// (experiment.VersionString); informational — results are
+	// (sweep.VersionString); informational — results are
 	// config-determined, so a version drift warns but does not refuse.
 	Version string `json:"version,omitempty"`
 	// Seed and Drops restate the run shape for inspection tooling.

@@ -1,23 +1,17 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 
 	"mmwalign/internal/journal"
+	"mmwalign/internal/sweep"
 )
 
 // FigureID is the journal figure identity of scenario runs; a scenario
 // journal never resumes a static-figure run or vice versa.
 const FigureID = "scenario"
-
-// jsonMarshalConfig serializes the config for the manifest block.
-func jsonMarshalConfig(c Config) (json.RawMessage, error) {
-	return json.Marshal(c)
-}
 
 // CanonicalHash returns the canonical hash of everything that
 // determines scenario output: the fully defaulted config with the
@@ -28,26 +22,15 @@ func (c Config) CanonicalHash() string {
 	c = c.WithDefaults()
 	c.Workers = 0
 	c.Journal = nil
-	data, err := json.Marshal(c)
-	if err != nil {
-		return "unhashable"
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return sweep.Hash(c)
 }
 
 // JournalHeader builds the journal header for a scenario run: the
-// canonical config hash plus the run shape for inspection tooling.
-// Version is stamped by the CLI layer.
+// canonical config hash, the run shape for inspection tooling, and the
+// engine version.
 func JournalHeader(cfg Config) journal.Header {
 	rc := cfg.WithDefaults()
-	return journal.Header{
-		Figure:     FigureID,
-		ConfigHash: rc.CanonicalHash(),
-		Seed:       rc.Seed,
-		Drops:      rc.Drops(),
-		Schemes:    append([]string(nil), rc.Schemes...),
-	}
+	return sweep.Header(FigureID, rc.CanonicalHash(), rc.Seed, rc.Drops(), rc.Schemes)
 }
 
 // frameRecord is the on-disk form of one FramePoint. Every float64 is

@@ -9,21 +9,18 @@
 // loss, and outage — rather than the one-shot SNR loss of the static
 // figures.
 //
-// The engine reuses the experiment substrate end to end: cells are
-// (drop, scheme) coordinates on the crash-safe journal (drop enumerates
-// speed × UE), rng splits are pure functions of (seed, name) so results
-// are invariant to worker count and resumption, and a run emits an
-// obs.Manifest with per-frame spans and realign/outage counters.
+// The sweep runs on the same cell engine as the static figures
+// (internal/sweep): cells are (drop, scheme) coordinates on the
+// crash-safe journal (drop enumerates speed × UE), rng splits are pure
+// functions of (seed, name) so results are invariant to worker count
+// and resumption, and a run emits an obs.Manifest with per-frame spans
+// and realign/outage counters.
 package scenario
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mmwalign/internal/align"
@@ -34,6 +31,7 @@ import (
 	"mmwalign/internal/metrics"
 	"mmwalign/internal/obs"
 	"mmwalign/internal/rng"
+	"mmwalign/internal/sweep"
 )
 
 // Config parameterizes a mobility sweep. Zero fields take the defaults
@@ -321,21 +319,6 @@ type Result struct {
 	Manifest *obs.Manifest
 }
 
-// PanicError is a worker panic recovered into an attributed error.
-type PanicError struct {
-	// Drop and Scheme attribute the cell that panicked.
-	Drop   int
-	Scheme string
-	// Value is the recovered panic value; Stack the goroutine stack.
-	Value any
-	Stack []byte
-}
-
-// Error implements error.
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("scenario: drop %d scheme %s panicked: %v\n%s", e.Drop, e.Scheme, e.Value, e.Stack)
-}
-
 // runCell simulates one (drop, scheme) trajectory. Every random stream
 // is a pure function of (seed, name): channel, motion, drift and
 // blockage splits are keyed by drop only, so all schemes of a drop see
@@ -487,113 +470,39 @@ func runCell(ctx context.Context, cfg Config, root *rng.Source, drop int, scheme
 	return trace, nil
 }
 
-// runStats tallies resume evidence for the manifest.
-type runStats struct {
-	resumedCells atomic.Int64
-}
-
-// runAll executes every (drop, scheme) cell on a bounded worker pool,
-// honoring journal resume skips and recording completed cells before
-// they are observable as done. Any cell failure aborts the run with an
-// attributed error; cancellation drains the in-flight workers and
-// returns the context's error with every finished cell already fsynced.
-func runAll(ctx context.Context, cfg Config) ([][]Trace, *runStats, error) {
+// runAll executes every (drop, scheme) cell on the sweep engine
+// (journal resume and record, bounded pool, panic attribution,
+// cancel-and-drain). Scenario cells get no retries, and the first
+// failed cell in drop-major order aborts the run with its attributed
+// error.
+func runAll(ctx context.Context, cfg Config) ([][]Trace, *sweep.Stats, error) {
 	root := rng.New(cfg.Seed)
-	rec := obs.From(ctx)
-	drops := cfg.Drops()
-	rec.StartRun(drops * len(cfg.Schemes))
-	st := &runStats{}
-
-	traces := make([][]Trace, drops)
-	errs := make([][]error, drops)
-	for d := range traces {
-		traces[d] = make([]Trace, len(cfg.Schemes))
-		errs[d] = make([]error, len(cfg.Schemes))
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	var journalErr atomic.Pointer[error]
-spawn:
-	for drop := 0; drop < drops; drop++ {
-		for si, scheme := range cfg.Schemes {
-			drop, si, scheme := drop, si, scheme
-			if cfg.Journal != nil {
-				if payload, ok := cfg.Journal.Lookup(drop, scheme); ok {
-					tr, err := decodeTrace(payload)
-					if err == nil {
-						traces[drop][si] = tr
-						st.resumedCells.Add(1)
-						rec.Counter("resume_skipped_cells").Add(1)
-						rec.CellDone(false)
-						continue
-					}
-					rec.Counter("resume_decode_failures").Add(1)
-				}
-			}
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				break spawn
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				defer func() {
-					if r := recover(); r != nil {
-						errs[drop][si] = &PanicError{Drop: drop, Scheme: scheme, Value: r, Stack: debug.Stack()}
-					}
-					rec.CellDone(errs[drop][si] != nil)
-				}()
-				tr, err := runCell(ctx, cfg, root, drop, scheme)
-				if err != nil {
-					if ctx.Err() != nil {
-						errs[drop][si] = ctx.Err()
-					} else {
-						errs[drop][si] = fmt.Errorf("scenario: drop %d scheme %s: %w", drop, scheme, err)
-					}
-					return
-				}
-				traces[drop][si] = tr
-				if cfg.Journal != nil {
-					payload, err := encodeTrace(tr)
-					if err == nil {
-						err = cfg.Journal.Record(drop, scheme, payload)
-					}
-					if err != nil {
-						journalErr.CompareAndSwap(nil, &err)
-					} else {
-						rec.Counter("journal_cells_recorded").Add(1)
-					}
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	results, st, err := sweep.Spec[Trace]{
+		Name:    "scenario",
+		Drops:   cfg.Drops(),
+		Schemes: cfg.Schemes,
+		Cell: func(ctx context.Context, drop int, scheme string) (Trace, error) {
+			return runCell(ctx, cfg, root, drop, scheme)
+		},
+		Encode:  encodeTrace,
+		Decode:  decodeTrace,
+		Workers: cfg.Workers,
+		Journal: cfg.Journal,
+	}.Run(ctx)
+	if err != nil {
 		return nil, st, err
 	}
-	if errp := journalErr.Load(); errp != nil {
-		return nil, st, fmt.Errorf("scenario: checkpoint journal write failed (results would not be resumable): %w", *errp)
-	}
-	for drop := 0; drop < drops; drop++ {
-		for si := range cfg.Schemes {
-			if err := errs[drop][si]; err != nil {
-				return nil, st, err
+	traces := make([][]Trace, len(results))
+	for drop, row := range results {
+		traces[drop] = make([]Trace, len(row))
+		for si, r := range row {
+			if r.Err != nil {
+				return nil, st, r.Err
 			}
+			traces[drop][si] = r.Value
 		}
 	}
 	return traces, st, nil
-}
-
-// Run executes the sweep with background context.
-func Run(cfg Config) (Result, error) {
-	return RunContext(context.Background(), cfg)
 }
 
 // RunContext executes the mobility sweep: every scheme rides every
@@ -614,7 +523,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	res := Result{Traces: traces}
 	res.Time = timeFigure(cfg, traces)
 	res.Speed = speedFigure(cfg, traces)
-	res.Manifest = buildManifest(cfg, obs.From(ctx), time.Since(start), st)
+	res.Manifest = st.Manifest(FigureID, "Mobility scenario sweep: effective throughput under motion, drift and blockage",
+		cfg.Seed, cfg, obs.From(ctx), time.Since(start))
 	return res, nil
 }
 
@@ -692,41 +602,4 @@ func speedFigure(cfg Config, traces [][]Trace) Figure {
 		fig.Series = append(fig.Series, s)
 	}
 	return fig
-}
-
-// buildManifest assembles the run manifest: config and seed always,
-// phase/counter detail when a recorder observed the run, resume
-// evidence when a journal was attached.
-func buildManifest(cfg Config, rec *obs.Recorder, elapsed time.Duration, st *runStats) *obs.Manifest {
-	m := &obs.Manifest{
-		Schema:    obs.ManifestSchema,
-		Figure:    "scenario",
-		Title:     "Mobility scenario sweep: effective throughput under motion, drift and blockage",
-		Seed:      cfg.Seed,
-		GoVersion: runtime.Version(),
-		ElapsedNS: elapsed.Nanoseconds(),
-	}
-	if cfgJSON, err := jsonMarshalConfig(cfg); err == nil {
-		m.Config = cfgJSON
-	}
-	if rec != nil {
-		snap := rec.Snapshot()
-		m.Instrumented = true
-		m.Phases = snap.Phases
-		m.Counters = snap.Counters
-		m.Solver = snap.Solver
-	}
-	if cfg.Journal != nil {
-		h := cfg.Journal.Header()
-		m.Resume = &obs.ResumeSummary{
-			Journal:      cfg.Journal.Path(),
-			ConfigHash:   h.ConfigHash,
-			TotalCells:   cfg.Drops() * len(cfg.Schemes),
-			SkippedCells: int(st.resumedCells.Load()),
-		}
-		if n := cfg.Journal.Len() - m.Resume.SkippedCells; n > 0 {
-			m.Resume.RecordedCells = n
-		}
-	}
-	return m
 }

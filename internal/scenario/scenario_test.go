@@ -47,7 +47,7 @@ func renderCSV(t *testing.T, res Result) []byte {
 
 func TestScenarioSmoke(t *testing.T) {
 	cfg := tinyConfig()
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +102,13 @@ func TestScenarioSmoke(t *testing.T) {
 func TestScenarioWorkerInvariance(t *testing.T) {
 	cfg1 := tinyConfig()
 	cfg1.Workers = 1
-	res1, err := Run(cfg1)
+	res1, err := RunContext(context.Background(), cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg8 := tinyConfig()
 	cfg8.Workers = 8
-	res8, err := Run(cfg8)
+	res8, err := RunContext(context.Background(), cfg8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestScenarioWorkerInvariance(t *testing.T) {
 // the genie (scheme-independent) throughput sequence has to agree
 // bitwise across schemes.
 func TestScenarioSchemesShareDynamics(t *testing.T) {
-	res, err := Run(tinyConfig())
+	res, err := RunContext(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestScenarioSchemesShareDynamics(t *testing.T) {
 // somewhere in the sweep — if the carried estimate never changes a
 // decision, the option is dead weight.
 func TestScenarioWarmDiffersFromCold(t *testing.T) {
-	res, err := Run(tinyConfig())
+	res, err := RunContext(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCanonicalHashIgnoresRuntimeKnobs(t *testing.T) {
 // An interrupted journaled run resumed from its journal must render a
 // CSV byte-identical to an uninterrupted run.
 func TestScenarioResumeByteIdentity(t *testing.T) {
-	baseline, err := Run(tinyConfig())
+	baseline, err := RunContext(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestScenarioResumeByteIdentity(t *testing.T) {
 	defer j2.Close()
 	cfg2 := tinyConfig()
 	cfg2.Journal = j2
-	res, err := Run(cfg2)
+	res, err := RunContext(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +281,22 @@ func TestScenarioCancel(t *testing.T) {
 func TestScenarioValidation(t *testing.T) {
 	bad := tinyConfig()
 	bad.Motion = "teleport"
-	if _, err := Run(bad); err == nil {
+	if _, err := RunContext(context.Background(), bad); err == nil {
 		t.Fatal("unknown motion model accepted")
 	}
 	bad2 := tinyConfig()
 	bad2.AlignSlots = 100
 	bad2.SlotBudget = 50
-	if _, err := Run(bad2); err == nil {
+	if _, err := RunContext(context.Background(), bad2); err == nil {
 		t.Fatal("align slots exceeding slot budget accepted")
+	}
+}
+
+// TestCanonicalHashPinned pins the default config hash: a change to the
+// hashed JSON (a field, a tag, a default, the hash function) would
+// silently orphan every scenario journal already written.
+func TestCanonicalHashPinned(t *testing.T) {
+	if got, want := (Config{}).CanonicalHash(), "80ad4e4d061b441f013ae768ad11da79adf1ed5a9b6580d30c72513d9cf7cdb6"; got != want {
+		t.Fatalf("default scenario config hash %s, want %s", got, want)
 	}
 }

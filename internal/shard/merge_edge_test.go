@@ -21,7 +21,7 @@ import (
 // DuplicateCells accounting and leave the merged figure untouched.
 func TestMergeDuplicateOnlyJournal(t *testing.T) {
 	cfg := tinyConfig()
-	clean, err := experiment.Generate(5, cfg)
+	clean, err := experiment.GenerateContext(context.Background(), 5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func mergedFigure(t *testing.T, dir string, figure int, cfg experiment.Config) (
 	defer jnl.Close()
 	mcfg := cfg
 	mcfg.Journal = jnl
-	fig, err := experiment.Generate(figure, mcfg)
+	fig, err := experiment.GenerateContext(context.Background(), figure, mcfg)
 	if err != nil {
 		t.Fatalf("generating from merged journal: %v", err)
 	}
@@ -70,7 +70,7 @@ func mergedFigure(t *testing.T, dir string, figure int, cfg experiment.Config) (
 
 func TestSingleWorkerByteIdentity(t *testing.T) {
 	cfg := tinyConfig()
-	clean, err := experiment.Generate(5, cfg)
+	clean, err := experiment.GenerateContext(context.Background(), 5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSingleWorkerByteIdentity(t *testing.T) {
 func TestThreeWorkersConcurrentByteIdentity(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Drops = 4 // 8 cells across 3 workers
-	clean, err := experiment.Generate(6, cfg)
+	clean, err := experiment.GenerateContext(context.Background(), 6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestThreeWorkersConcurrentByteIdentity(t *testing.T) {
 // the single-process run byte for byte.
 func TestKilledWorkerCellsStolenByteIdentity(t *testing.T) {
 	cfg := tinyConfig()
-	clean, err := experiment.Generate(5, cfg)
+	clean, err := experiment.GenerateContext(context.Background(), 5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
