@@ -18,7 +18,7 @@
 // (internal/cmat), antenna arrays and codebooks (internal/antenna),
 // single-path and NYC-measurement-derived multipath channels
 // (internal/channel), the sounding model (internal/meas), the covariance
-// estimator and a general SVT matrix-completion solver (internal/covest),
+// estimator (internal/covest),
 // the alignment strategies themselves (internal/align), a slotted MAC
 // and directional cell-search layer (internal/mac), and the harness that
 // regenerates the paper's figures (internal/experiment, cmd/figgen).

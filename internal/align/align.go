@@ -57,38 +57,10 @@ type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
 	// Run executes the search and returns the measurements in the order
-	// they were taken.
-	Run(env *Env, budget int) ([]meas.Measurement, error)
-}
-
-// ContextStrategy is implemented by strategies that support cooperative
-// cancellation. RunContext behaves like Run but stops cleanly (returning
-// the context's error and the measurements taken so far discarded) when
-// ctx is cancelled or its deadline passes. All built-in strategies
-// implement it; EvaluateContext uses it when available.
-type ContextStrategy interface {
-	Strategy
-	// RunContext is Run with cooperative cancellation.
-	RunContext(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error)
-}
-
-// runStrategy dispatches to RunContext when the strategy supports it,
-// falling back to a plain Run bracketed by context checks otherwise.
-func runStrategy(ctx context.Context, env *Env, s Strategy, budget int) ([]meas.Measurement, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cs, ok := s.(ContextStrategy); ok {
-		return cs.RunContext(ctx, env, budget)
-	}
-	ms, err := s.Run(env, budget)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return ms, nil
+	// they were taken. It checks ctx at its loop boundaries and, once
+	// ctx is cancelled or its deadline passes, stops and returns the
+	// context's error; the measurements taken so far are discarded.
+	Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error)
 }
 
 // Oracle computes the ground-truth optimal pair (u_opt, v_opt) of

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestStrategiesRespectBudget(t *testing.T) {
 	for _, budget := range []int{1, 7, 32, 128, 500} {
 		env := testEnv(t, 2, 1, false)
 		for _, s := range allStrategies(env) {
-			ms, err := s.Run(env, budget)
+			ms, err := s.Run(context.Background(), env, budget)
 			if err != nil {
 				t.Fatalf("%s budget=%d: %v", s.Name(), budget, err)
 			}
@@ -93,7 +94,7 @@ func TestStrategiesRespectBudget(t *testing.T) {
 func TestStrategiesRejectNonPositiveBudget(t *testing.T) {
 	env := testEnv(t, 3, 1, false)
 	for _, s := range allStrategies(env) {
-		if _, err := s.Run(env, 0); err == nil {
+		if _, err := s.Run(context.Background(), env, 0); err == nil {
 			t.Errorf("%s accepted zero budget", s.Name())
 		}
 	}
@@ -103,7 +104,7 @@ func TestNoPairRepetition(t *testing.T) {
 	env := testEnv(t, 4, 1, false)
 	for _, s := range allStrategies(env) {
 		seen := make(map[Pair]bool)
-		ms, err := s.Run(env, env.TotalPairs())
+		ms, err := s.Run(context.Background(), env, env.TotalPairs())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -122,7 +123,7 @@ func TestNoPairRepetition(t *testing.T) {
 
 func TestExhaustiveCoversEverything(t *testing.T) {
 	env := testEnv(t, 5, 1, false)
-	ms, err := ExhaustiveStrategy{}.Run(env, env.TotalPairs())
+	ms, err := ExhaustiveStrategy{}.Run(context.Background(), env, env.TotalPairs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestExhaustiveCoversEverything(t *testing.T) {
 
 func TestRandomCoversEverythingAtFullBudget(t *testing.T) {
 	env := testEnv(t, 6, 1, false)
-	ms, err := RandomStrategy{}.Run(env, env.TotalPairs())
+	ms, err := RandomStrategy{}.Run(context.Background(), env, env.TotalPairs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRandomCoversEverythingAtFullBudget(t *testing.T) {
 
 func TestScanAdjacency(t *testing.T) {
 	env := testEnv(t, 7, 1, false)
-	ms, err := ScanStrategy{}.Run(env, 64)
+	ms, err := ScanStrategy{}.Run(context.Background(), env, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestScanStepsAreAdjacentWithinRaster(t *testing.T) {
 	// Force start at a known position by trying seeds until the raster
 	// start is 0; then every consecutive step must be strictly adjacent.
 	env := testEnv(t, 8, 1, false)
-	ms, err := ScanStrategy{}.Run(env, env.TotalPairs())
+	ms, err := ScanStrategy{}.Run(context.Background(), env, env.TotalPairs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestOracleFindsPlantedPair(t *testing.T) {
 
 func TestEvaluateTrajectoryShape(t *testing.T) {
 	env := testEnv(t, 11, 10, false)
-	tr, err := Evaluate(env, RandomStrategy{}, 40)
+	tr, err := EvaluateContext(context.Background(), env, RandomStrategy{}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestEvaluateFullBudgetZeroLossHighSNR(t *testing.T) {
 		case "proposed":
 			s = NewProposed(ProposedConfig{J: 4})
 		}
-		tr, err := Evaluate(env, s, env.TotalPairs())
+		tr, err := EvaluateContext(context.Background(), env, s, env.TotalPairs())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -350,7 +351,7 @@ func TestProposedUsesConfiguredJ(t *testing.T) {
 	// beam exactly 4 times (3 random + 1 estimated).
 	env := testEnv(t, 13, 1, false)
 	s := NewProposed(ProposedConfig{J: 4})
-	ms, err := s.Run(env, 8)
+	ms, err := s.Run(context.Background(), env, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +372,14 @@ func TestProposedUsesConfiguredJ(t *testing.T) {
 func TestProposedWindowLimitsHistory(t *testing.T) {
 	env := testEnv(t, 14, 1, false)
 	s := NewProposed(ProposedConfig{J: 4, Window: 8})
-	if _, err := s.Run(env, 40); err != nil {
+	if _, err := s.Run(context.Background(), env, 40); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestProposedMultipathRuns(t *testing.T) {
 	env := testEnv(t, 15, 1, true)
-	tr, err := Evaluate(env, NewProposed(ProposedConfig{J: 4}), 32)
+	tr, err := EvaluateContext(context.Background(), env, NewProposed(ProposedConfig{J: 4}), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestHierarchicalFindsGoodPairCleanChannel(t *testing.T) {
 	env := testEnv(t, 16, 1e6, false)
 	env.Sounder.SetSnapshots(64)
 	h := NewHierarchical(antenna.NewHierCodebook(env.RXBook, 2, 2))
-	tr, err := Evaluate(env, h, 64)
+	tr, err := EvaluateContext(context.Background(), env, h, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestHierarchicalFindsGoodPairCleanChannel(t *testing.T) {
 
 func TestEvaluatePropagatesStrategyErrors(t *testing.T) {
 	env := testEnv(t, 17, 1, false)
-	if _, err := Evaluate(env, RandomStrategy{}, 0); err == nil {
+	if _, err := EvaluateContext(context.Background(), env, RandomStrategy{}, 0); err == nil {
 		t.Error("expected error for zero budget")
 	}
 }
@@ -415,7 +416,7 @@ func TestProposedAutoMu(t *testing.T) {
 		J:          4,
 		AutoMuGrid: []float64{0.3, 1, 3},
 	})
-	ms, err := s.Run(env, 40)
+	ms, err := s.Run(context.Background(), env, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestProposedEstimatorOptionsHonored(t *testing.T) {
 		J:         4,
 		Estimator: covest.Options{Gamma: 1, Mu: 5, MaxIters: 5},
 	})
-	if _, err := s.Run(env, 16); err != nil {
+	if _, err := s.Run(context.Background(), env, 16); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,12 +14,7 @@ type RandomStrategy struct{}
 func (RandomStrategy) Name() string { return "random" }
 
 // Run implements Strategy.
-func (s RandomStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) {
-	return s.RunContext(context.Background(), env, budget)
-}
-
-// RunContext implements ContextStrategy.
-func (RandomStrategy) RunContext(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
+func (RandomStrategy) Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
 	budget, err := clampBudget(env, budget)
 	if err != nil {
 		return nil, err
@@ -51,12 +46,7 @@ type ScanStrategy struct{}
 func (ScanStrategy) Name() string { return "scan" }
 
 // Run implements Strategy.
-func (s ScanStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) {
-	return s.RunContext(context.Background(), env, budget)
-}
-
-// RunContext implements ContextStrategy.
-func (ScanStrategy) RunContext(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
+func (ScanStrategy) Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
 	budget, err := clampBudget(env, budget)
 	if err != nil {
 		return nil, err
@@ -95,12 +85,7 @@ func (ExhaustiveStrategy) Name() string { return "exhaustive" }
 
 // Run implements Strategy. The budget still applies: with budget < T it
 // is a deterministic partial raster from the first beam pair.
-func (s ExhaustiveStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) {
-	return s.RunContext(context.Background(), env, budget)
-}
-
-// RunContext implements ContextStrategy.
-func (ExhaustiveStrategy) RunContext(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
+func (ExhaustiveStrategy) Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
 	budget, err := clampBudget(env, budget)
 	if err != nil {
 		return nil, err
@@ -123,7 +108,7 @@ func (ExhaustiveStrategy) RunContext(ctx context.Context, env *Env, budget int) 
 }
 
 var (
-	_ ContextStrategy = RandomStrategy{}
-	_ ContextStrategy = ScanStrategy{}
-	_ ContextStrategy = ExhaustiveStrategy{}
+	_ Strategy = RandomStrategy{}
+	_ Strategy = ScanStrategy{}
+	_ Strategy = ExhaustiveStrategy{}
 )

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"fmt"
 
 	"mmwalign/internal/cmat"
@@ -39,8 +40,9 @@ func NewDigital() *DigitalStrategy {
 // Name implements Strategy.
 func (s *DigitalStrategy) Name() string { return "digital" }
 
-// Run implements Strategy.
-func (s *DigitalStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) {
+// Run implements Strategy. Cancellation is checked before each TX
+// beam's snapshots.
+func (s *DigitalStrategy) Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
 	budget, err := clampBudget(env, budget)
 	if err != nil {
 		return nil, err
@@ -62,6 +64,9 @@ func (s *DigitalStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) 
 	slots := 0 // total slot budget consumed (snapshots + soundings)
 
 	for slots < budget {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		tx := txOrder[slot%len(txOrder)]
 		slot++
 		u := env.TXBook.Beam(tx).Weights

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ func TestDigitalName(t *testing.T) {
 func TestDigitalRespectsBudget(t *testing.T) {
 	for _, budget := range []int{1, 4, 17, 64} {
 		env := testEnv(t, 70, 1, false)
-		ms, err := NewDigital().Run(env, budget)
+		ms, err := NewDigital().Run(context.Background(), env, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +26,7 @@ func TestDigitalRespectsBudget(t *testing.T) {
 
 func TestDigitalMixesSnapshotsAndSoundings(t *testing.T) {
 	env := testEnv(t, 71, 1, false)
-	ms, err := NewDigital().Run(env, 16) // 4 TX beams × (3 snapshots + 1 sounding)
+	ms, err := NewDigital().Run(context.Background(), env, 16) // 4 TX beams × (3 snapshots + 1 sounding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestDigitalMixesSnapshotsAndSoundings(t *testing.T) {
 func TestDigitalFindsPlantedPair(t *testing.T) {
 	env, want := plantedEnv(t, 72, 100)
 	env.Sounder.SetSnapshots(8)
-	tr, err := Evaluate(env, NewDigital(), 40)
+	tr, err := EvaluateContext(context.Background(), env, NewDigital(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,12 @@ func TestDigitalBeatsAnalogProposedAtLowBudget(t *testing.T) {
 	const drops = 6
 	for d := int64(0); d < drops; d++ {
 		envA := testEnv(t, 200+d, 1, false)
-		trA, err := Evaluate(envA, NewDigital(), 24)
+		trA, err := EvaluateContext(context.Background(), envA, NewDigital(), 24)
 		if err != nil {
 			t.Fatal(err)
 		}
 		envB := testEnv(t, 200+d, 1, false)
-		trB, err := Evaluate(envB, NewProposed(ProposedConfig{J: 4}), 24)
+		trB, err := EvaluateContext(context.Background(), envB, NewProposed(ProposedConfig{J: 4}), 24)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestDigitalBeatsAnalogProposedAtLowBudget(t *testing.T) {
 func TestDigitalCustomConfig(t *testing.T) {
 	env := testEnv(t, 73, 1, false)
 	s := &DigitalStrategy{SnapshotsPerTX: 1, Shrinkage: 0.5}
-	ms, err := s.Run(env, 10)
+	ms, err := s.Run(context.Background(), env, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestDigitalCustomConfig(t *testing.T) {
 func TestDigitalInvalidConfigDefaults(t *testing.T) {
 	env := testEnv(t, 74, 1, false)
 	s := &DigitalStrategy{SnapshotsPerTX: -1, Shrinkage: 7}
-	if _, err := s.Run(env, 8); err != nil {
+	if _, err := s.Run(context.Background(), env, 8); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package align
 
 import (
+	"context"
+
 	"mmwalign/internal/antenna"
 	"mmwalign/internal/meas"
 )
@@ -33,8 +35,9 @@ func NewHierarchical(h *antenna.HierCodebook) *HierarchicalStrategy {
 // Name implements Strategy.
 func (s *HierarchicalStrategy) Name() string { return "hierarchical" }
 
-// Run implements Strategy.
-func (s *HierarchicalStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) {
+// Run implements Strategy. Cancellation is checked before each TX
+// beam's descent.
+func (s *HierarchicalStrategy) Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
 	budget, err := clampBudget(env, budget)
 	if err != nil {
 		return nil, err
@@ -45,6 +48,9 @@ func (s *HierarchicalStrategy) Run(env *Env, budget int) ([]meas.Measurement, er
 	slot := 0
 
 	for len(out) < budget {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		tx := txOrder[slot%len(txOrder)]
 		slot++
 		u := env.TXBook.Beam(tx).Weights

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"sort"
 
 	"mmwalign/internal/meas"
@@ -29,8 +30,9 @@ func NewLocalRefine() *LocalRefineStrategy {
 // Name implements Strategy.
 func (s *LocalRefineStrategy) Name() string { return "local-refine" }
 
-// Run implements Strategy.
-func (s *LocalRefineStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) {
+// Run implements Strategy. Cancellation is checked before each
+// measurement of both phases.
+func (s *LocalRefineStrategy) Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
 	budget, err := clampBudget(env, budget)
 	if err != nil {
 		return nil, err
@@ -62,6 +64,9 @@ func (s *LocalRefineStrategy) Run(env *Env, budget int) ([]meas.Measurement, err
 		if len(out) >= explore {
 			break
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		take(Pair{TX: k / nRX, RX: k % nRX})
 	}
 
@@ -71,6 +76,9 @@ func (s *LocalRefineStrategy) Run(env *Env, budget int) ([]meas.Measurement, err
 	// neighbor found.
 	randFill := explore // position in perm for random fallback
 	for len(out) < budget {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		ranked := make([]meas.Measurement, len(out))
 		copy(ranked, out)
 		sort.Slice(ranked, func(i, j int) bool { return ranked[i].Energy > ranked[j].Energy })

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ func TestLocalRefineName(t *testing.T) {
 func TestLocalRefineRespectsBudgetAndNoRepeats(t *testing.T) {
 	for _, budget := range []int{1, 5, 40, 128, 1000} {
 		env := testEnv(t, 40, 1, false)
-		ms, err := NewLocalRefine().Run(env, budget)
+		ms, err := NewLocalRefine().Run(context.Background(), env, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestLocalRefineConcentratesNearBestPair(t *testing.T) {
 	// should be exactly the planted one with a modest budget.
 	env, want := plantedEnv(t, 41, 100)
 	env.Sounder.SetSnapshots(16)
-	tr, err := Evaluate(env, NewLocalRefine(), 40)
+	tr, err := EvaluateContext(context.Background(), env, NewLocalRefine(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestLocalRefineConcentratesNearBestPair(t *testing.T) {
 func TestLocalRefineInvalidExploreFracDefaults(t *testing.T) {
 	env := testEnv(t, 42, 1, false)
 	s := &LocalRefineStrategy{ExploreFrac: 2.5}
-	ms, err := s.Run(env, 20)
+	ms, err := s.Run(context.Background(), env, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +72,13 @@ func TestLocalRefineBeatsRandomOnPlantedChannel(t *testing.T) {
 	for seed := int64(0); seed < runs; seed++ {
 		envA, _ := plantedEnv(t, 50+seed, 100)
 		envA.Sounder.SetSnapshots(16)
-		trA, err := Evaluate(envA, NewLocalRefine(), 100)
+		trA, err := EvaluateContext(context.Background(), envA, NewLocalRefine(), 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		envB, _ := plantedEnv(t, 50+seed, 100)
 		envB.Sounder.SetSnapshots(16)
-		trB, err := Evaluate(envB, RandomStrategy{}, 100)
+		trB, err := EvaluateContext(context.Background(), envB, RandomStrategy{}, 100)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,7 +53,7 @@ func TestProposedWindowedMuSelection(t *testing.T) {
 	// µ-selection fires at the first estimation boundary with ≥4·J=32
 	// accumulated measurements: slot 5, after 39 takes. Budget 48 leaves
 	// headroom past that point.
-	ms, err := s.RunContext(ctx, env, 48)
+	ms, err := s.Run(ctx, env, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProposedFullHistoryHitsPoison(t *testing.T) {
 	rec := runobs.New()
 	ctx := runobs.Into(context.Background(), rec)
 
-	ms, err := s.RunContext(ctx, env, 48)
+	ms, err := s.Run(ctx, env, 48)
 	if err != nil {
 		t.Fatalf("poisoned history must degrade, not fail: %v", err)
 	}

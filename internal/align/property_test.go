@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -57,7 +58,7 @@ func TestStrategyInvariantsProperty(t *testing.T) {
 			NewProposed(ProposedConfig{J: 4, Estimator: estOptsQuick()}),
 			NewLocalRefine(),
 		} {
-			ms, err := s.Run(env, budget)
+			ms, err := s.Run(context.Background(), env, budget)
 			if err != nil {
 				return false
 			}
@@ -95,7 +96,7 @@ func TestEvaluateLossBoundsProperty(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		env := testEnvQuick(seed)
-		tr, err := Evaluate(env, RandomStrategy{}, 30)
+		tr, err := EvaluateContext(context.Background(), env, RandomStrategy{}, 30)
 		if err != nil {
 			return false
 		}

@@ -91,12 +91,7 @@ func (s *ProposedStrategy) Name() string {
 	return "proposed"
 }
 
-// Run implements Strategy.
-func (s *ProposedStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) {
-	return s.RunContext(context.Background(), env, budget)
-}
-
-// RunContext implements ContextStrategy. Cancellation stops the search
+// Run implements Strategy. Cancellation stops the search
 // at the next measurement or estimation boundary with the context's
 // error. Estimator failures do NOT fail the run: when the covariance
 // estimate becomes unavailable mid-trajectory (poisoned measurement
@@ -104,7 +99,7 @@ func (s *ProposedStrategy) Run(env *Env, budget int) ([]meas.Measurement, error)
 // scan-order pair selection — the paper's Scan policy, which every
 // scheme reduces to at 100% search rate — so one bad measurement stream
 // costs estimation quality, never the whole drop.
-func (s *ProposedStrategy) RunContext(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
+func (s *ProposedStrategy) Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
 	budget, err := clampBudget(env, budget)
 	if err != nil {
 		return nil, err
@@ -282,7 +277,7 @@ type scoredBeam struct {
 
 // selectScratch carries the reusable buffers for one run's selectBeams
 // calls: the whole-codebook score vector and the candidate list. It
-// lives in RunContext rather than on the strategy so ProposedStrategy
+// lives in Run rather than on the strategy so ProposedStrategy
 // stays stateless and safe to share across concurrent experiment cells.
 type selectScratch struct {
 	all    []float64
@@ -370,4 +365,4 @@ func (s *ProposedStrategy) selectBeams(env *Env, qhat *cmat.Matrix, avail []int,
 	return out
 }
 
-var _ ContextStrategy = (*ProposedStrategy)(nil)
+var _ Strategy = (*ProposedStrategy)(nil)

@@ -59,23 +59,21 @@ func (tr Trajectory) FirstWithin(targetDB float64) int {
 	return -1
 }
 
-// Evaluate runs a strategy once and scores its trajectory against the
-// oracle optimum. The strategy selects its answer from measured SNR
-// estimates only; the oracle and true SNRs are used purely for scoring.
-// Evaluate is the non-cancellable convenience form of EvaluateContext.
-func Evaluate(env *Env, s Strategy, budget int) (Trajectory, error) {
-	return EvaluateContext(context.Background(), env, s, budget)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation: the run
-// stops cleanly at the next measurement or estimation boundary when ctx
-// is cancelled or its deadline passes, returning the context's error.
+// EvaluateContext runs a strategy once and scores its trajectory
+// against the oracle optimum. The strategy selects its answer from
+// measured SNR estimates only; the oracle and true SNRs are used purely
+// for scoring. The run stops cleanly at the strategy's next loop
+// boundary when ctx is cancelled or its deadline passes, returning the
+// context's error.
 func EvaluateContext(ctx context.Context, env *Env, s Strategy, budget int) (Trajectory, error) {
 	rec := obs.From(ctx)
 	oracleSpan := rec.Phase("oracle").Start()
 	optPair, optSNR := Oracle(env)
 	oracleSpan.End()
-	ms, err := runStrategy(ctx, env, s, budget)
+	if err := ctx.Err(); err != nil {
+		return Trajectory{}, err
+	}
+	ms, err := s.Run(ctx, env, budget)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Cancellation is not a strategy failure: surface the bare

@@ -36,16 +36,11 @@ func NewTwoSided(cfg ProposedConfig) *TwoSidedStrategy {
 // Name implements Strategy.
 func (s *TwoSidedStrategy) Name() string { return "two-sided" }
 
-// Run implements Strategy.
-func (s *TwoSidedStrategy) Run(env *Env, budget int) ([]meas.Measurement, error) {
-	return s.RunContext(context.Background(), env, budget)
-}
-
-// RunContext implements ContextStrategy with the same cancellation and
+// Run implements Strategy with the same cancellation and
 // graceful-degradation semantics as the proposed scheme: cancellation
 // stops at the next boundary, estimator failure degrades to scan-order
 // selection for the remaining budget.
-func (s *TwoSidedStrategy) RunContext(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
+func (s *TwoSidedStrategy) Run(ctx context.Context, env *Env, budget int) ([]meas.Measurement, error) {
 	budget, err := clampBudget(env, budget)
 	if err != nil {
 		return nil, err
@@ -212,4 +207,4 @@ func (s *TwoSidedStrategy) pickTX(env *Env, slot int, visits []int, energySum []
 	return candidates[env.Src.Intn(len(candidates))]
 }
 
-var _ ContextStrategy = (*TwoSidedStrategy)(nil)
+var _ Strategy = (*TwoSidedStrategy)(nil)

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func TestTwoSidedExploresAllTXBeamsEventually(t *testing.T) {
 	// With a full budget, every TX beam must be visited (exploration
 	// slots guarantee coverage).
 	env := testEnv(t, 30, 1, false)
-	ms, err := NewTwoSided(ProposedConfig{J: 4}).Run(env, env.TotalPairs())
+	ms, err := NewTwoSided(ProposedConfig{J: 4}).Run(context.Background(), env, env.TotalPairs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestTwoSidedRevisitsStrongTXBeam(t *testing.T) {
 	// should collect at least as many measurements as the average beam.
 	env, want := plantedEnv(t, 31, 100)
 	env.Sounder.SetSnapshots(8)
-	ms, err := NewTwoSided(ProposedConfig{J: 4}).Run(env, 64)
+	ms, err := NewTwoSided(ProposedConfig{J: 4}).Run(context.Background(), env, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestTwoSidedRevisitsStrongTXBeam(t *testing.T) {
 func TestTwoSidedFindsPlantedPair(t *testing.T) {
 	env, want := plantedEnv(t, 32, 100)
 	env.Sounder.SetSnapshots(16)
-	tr, err := Evaluate(env, NewTwoSided(ProposedConfig{J: 4}), 48)
+	tr, err := EvaluateContext(context.Background(), env, NewTwoSided(ProposedConfig{J: 4}), 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,12 @@ func TestTwoSidedComparableToProposedOnAverage(t *testing.T) {
 	const drops = 8
 	for d := int64(0); d < drops; d++ {
 		envA := testEnv(t, 100+d, 1, false)
-		trA, err := Evaluate(envA, NewProposed(ProposedConfig{J: 4}), 40)
+		trA, err := EvaluateContext(context.Background(), envA, NewProposed(ProposedConfig{J: 4}), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
 		envB := testEnv(t, 100+d, 1, false)
-		trB, err := Evaluate(envB, NewTwoSided(ProposedConfig{J: 4}), 40)
+		trB, err := EvaluateContext(context.Background(), envB, NewTwoSided(ProposedConfig{J: 4}), 40)
 		if err != nil {
 			t.Fatal(err)
 		}

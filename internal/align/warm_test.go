@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"testing"
 
 	"mmwalign/internal/antenna"
@@ -30,7 +31,7 @@ func TestProposedWarmCarriesEstimate(t *testing.T) {
 		t.Fatal("WarmState.Q non-nil before any alignment")
 	}
 
-	ms, err := st.Run(env, 48)
+	ms, err := st.Run(context.Background(), env, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestProposedWarmCarriesEstimate(t *testing.T) {
 	// A second alignment on the same link must seed from q1 and store a
 	// fresh copy, never mutate q1 in place.
 	q1Copy := q1.Clone()
-	if _, err := st.Run(env, 48); err != nil {
+	if _, err := st.Run(context.Background(), env, 48); err != nil {
 		t.Fatal(err)
 	}
 	q2 := ps.cfg.Warm.Q

@@ -134,9 +134,20 @@ func TestRXCovarianceProperties(t *testing.T) {
 	if !q.IsHermitian(1e-10) {
 		t.Error("Q is not Hermitian")
 	}
-	rank, err := cmat.Rank(q, 1e-9)
+	// Rank: eigenvalues above 1e-9 of the largest magnitude.
+	eig, err := cmat.EigHermitian(q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var max float64
+	for _, lam := range eig.Values {
+		max = math.Max(max, math.Abs(lam))
+	}
+	rank := 0
+	for _, lam := range eig.Values {
+		if math.Abs(lam) > 1e-9*max {
+			rank++
+		}
 	}
 	if rank != 1 {
 		t.Errorf("single-path covariance rank = %d, want 1", rank)

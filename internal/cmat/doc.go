@@ -1,8 +1,7 @@
 // Package cmat implements dense complex linear algebra for the beam
 // alignment library: vectors, matrices, Hermitian eigendecomposition
-// (Householder tridiagonalization and implicit-shift QL), singular value
-// decomposition, Cholesky and QR
-// factorizations, and the positive-semidefinite-cone operators
+// (Householder tridiagonalization and implicit-shift QL), blocked
+// matrix products, and the positive-semidefinite-cone operators
 // (projection, spectral soft-thresholding) required by the
 // nuclear-norm-regularized covariance estimator.
 //
@@ -18,5 +17,5 @@
 //   - Methods that cannot fail mutate or return values directly; methods
 //     with preconditions on shape panic with a descriptive message, since
 //     shape mismatches are programmer errors, while numerical failures
-//     (e.g. non-positive-definite input to Cholesky) return errors.
+//     (e.g. non-finite input to the eigensolver) return errors.
 package cmat

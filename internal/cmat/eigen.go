@@ -434,49 +434,3 @@ func (ws *EigenWorkspace) backTransform(k int) {
 		}
 	}
 }
-
-// TopEigenvector returns the eigenvector associated with the largest
-// eigenvalue of the Hermitian matrix a, along with that eigenvalue.
-func TopEigenvector(a *Matrix) (Vector, float64, error) {
-	e, err := EigHermitian(a)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(e.Values) == 0 {
-		return Vector{}, 0, nil
-	}
-	return e.Vectors.Col(0), e.Values[0], nil
-}
-
-// PowerIterationTop approximates the dominant eigenpair of a Hermitian
-// PSD matrix with at most iters power iterations starting from v0 (or a
-// deterministic dense start when v0 is nil). It is much cheaper than a
-// full Jacobi decomposition when only the top direction is needed.
-func PowerIterationTop(a *Matrix, v0 Vector, iters int, tol float64) (Vector, float64) {
-	a.checkSquare()
-	n := a.Rows()
-	v := v0
-	if len(v) != n || v.Norm() == 0 {
-		v = make(Vector, n)
-		for i := range v {
-			// Deterministic spread-out start vector.
-			v[i] = complex(1+float64(i%7)/7, float64(i%3)/3)
-		}
-	}
-	v = v.Normalize()
-	lambda := 0.0
-	for it := 0; it < iters; it++ {
-		w := a.MulVec(v)
-		nw := w.Norm()
-		if nw == 0 {
-			return v, 0
-		}
-		next := w.Scale(complex(1/nw, 0))
-		newLambda := a.QuadForm(next)
-		if math.Abs(newLambda-lambda) <= tol*math.Max(1, math.Abs(newLambda)) {
-			return next, newLambda
-		}
-		v, lambda = next, newLambda
-	}
-	return v, lambda
-}

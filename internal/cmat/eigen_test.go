@@ -155,43 +155,17 @@ func TestTopEigenvector(t *testing.T) {
 	// Rank-1 PSD: Q = u uᴴ — the top eigenvector must align with u.
 	u := Vector{1, 1i, -1}.Normalize()
 	q := u.Outer(u)
-	v, lambda, err := TopEigenvector(q)
+	e, err := EigHermitian(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	v, lambda := e.Vectors.Col(0), e.Values[0]
 	if math.Abs(lambda-1) > 1e-10 {
 		t.Errorf("top eigenvalue = %g, want 1", lambda)
 	}
 	// Alignment up to a global phase: |<u,v>| ≈ 1.
-	if a := math.Abs(realAbs(u.Dot(v))); math.Abs(a-1) > 1e-10 {
+	if a := cmplx.Abs(u.Dot(v)); math.Abs(a-1) > 1e-10 {
 		t.Errorf("|<u,v>| = %g, want 1", a)
-	}
-}
-
-func realAbs(c complex128) float64 {
-	return math.Hypot(real(c), imag(c))
-}
-
-func TestPowerIterationMatchesEigHermitian(t *testing.T) {
-	r := rand.New(rand.NewSource(25))
-	for i := 0; i < 10; i++ {
-		n := 3 + r.Intn(12)
-		p := randPSD(r, n, 1+r.Intn(3))
-		_, wantLambda, err := TopEigenvector(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, gotLambda := PowerIterationTop(p, nil, 500, 1e-12)
-		if math.Abs(gotLambda-wantLambda) > 1e-6*(1+wantLambda) {
-			t.Fatalf("power iteration λ=%g, EigHermitian λ=%g", gotLambda, wantLambda)
-		}
-	}
-}
-
-func TestPowerIterationZeroMatrix(t *testing.T) {
-	_, lambda := PowerIterationTop(New(4, 4), nil, 10, 1e-9)
-	if lambda != 0 {
-		t.Errorf("λ = %g, want 0", lambda)
 	}
 }
 
@@ -458,4 +432,96 @@ func BenchmarkEigenSoftThresholdPSD(b *testing.B) {
 			}
 		})
 	}
+}
+
+func TestPSDSqrtRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	// Works on singular PSD matrices.
+	p := randPSD(r, 7, 2)
+	s, err := PSDSqrt(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Mul(s.ConjTranspose()).ApproxEqual(p, 1e-9*(1+p.FrobeniusNorm())) {
+		t.Error("SSᴴ != A")
+	}
+	if !s.IsHermitian(1e-10) {
+		t.Error("PSDSqrt result is not Hermitian")
+	}
+}
+
+func TestProjectPSD(t *testing.T) {
+	m := Diag([]complex128{2, -3, 0.5})
+	p, err := ProjectPSD(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Diag([]complex128{2, 0, 0.5})
+	if !p.ApproxEqual(want, 1e-10) {
+		t.Errorf("ProjectPSD = %v, want %v", p, want)
+	}
+}
+
+func TestProjectPSDIdempotent(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	h := randHermitian(r, 8)
+	p1, err := ProjectPSD(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := ProjectPSD(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p2.ApproxEqual(p1, 1e-8*(1+p1.FrobeniusNorm())) {
+		t.Error("projection is not idempotent")
+	}
+}
+
+func TestEigenSoftThresholdPSD(t *testing.T) {
+	m := Diag([]complex128{5, 1, 0.2})
+	got, err := EigenSoftThresholdPSD(m, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Diag([]complex128{4.5, 0.5, 0})
+	if !got.ApproxEqual(want, 1e-10) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+}
+
+func TestEigenSoftThresholdReducesRank(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	// Dominant rank-1 component plus small noise; thresholding should
+	// recover something close to rank 1.
+	v := randVec(r, 8).Normalize()
+	q := v.Outer(v).Scale(10).Add(randPSD(r, 8, 8).Scale(complex(0.01, 0))).Hermitianize()
+	th, err := EigenSoftThresholdPSD(q, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rank := eigRank(t, th, 1e-6); rank != 1 {
+		t.Errorf("thresholded rank = %d, want 1", rank)
+	}
+}
+
+// eigRank counts the eigenvalues of the Hermitian matrix m whose
+// magnitude exceeds tol times the largest magnitude.
+func eigRank(t *testing.T, m *Matrix, tol float64) int {
+	t.Helper()
+	e, err := EigHermitian(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var max float64
+	for _, v := range e.Values {
+		max = math.Max(max, math.Abs(v))
+	}
+	n := 0
+	for _, v := range e.Values {
+		if max > 0 && math.Abs(v) > tol*max {
+			n++
+		}
+	}
+	return n
 }

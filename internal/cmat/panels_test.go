@@ -41,7 +41,7 @@ func TestMulIntoPanelsMatchesPerPanel(t *testing.T) {
 	for _, tc := range [][4]int{
 		{1, 3, 4, 5},
 		{2, 5, 7, 3},
-		{3, 2, 9, 2},   // rows·panels < gemmParallelRows: serial path
+		{3, 2, 9, 2}, // rows·panels < gemmParallelRows: serial path
 		{7, 16, 48, 64},
 		{4, 33, 64, 48}, // panels·rows = 132 ≥ 32 and ops ≥ 2^17: parallel path
 	} {

@@ -3,9 +3,9 @@
 // receive-side spatial covariance Q from noisy beamformed energy
 // measurements, with a nuclear-norm penalty enforcing the low-rank
 // structure of mmWave channels, solved by proximal gradient descent over
-// the PSD cone. A generic singular-value-thresholding (SVT) matrix
-// completion solver is included as the underlying matrix-completion
-// substrate the paper builds on.
+// the PSD cone. The package also holds the holdout µ selection
+// (SelectMu) and the shrunk sample covariance (SampleCovariance) of the
+// digital-receiver reference.
 //
 // # Measurement model
 //

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"mmwalign/internal/cmat"
-	"mmwalign/internal/covest"
 	"mmwalign/internal/meas"
 	"mmwalign/internal/rng"
 )
@@ -265,17 +264,6 @@ type killProber struct {
 func (k *killProber) Measure(txBeam, rxBeam int, u, v cmat.Vector) meas.Measurement {
 	k.once.Do(k.kill)
 	return k.Prober.Measure(txBeam, rxBeam, u, v)
-}
-
-// DivergentOptions returns estimator options engineered to stress the
-// solver guardrails: an absurd initial step with FISTA's non-monotone
-// acceptance invites divergence that the covest guardrails must catch
-// (StopDiverged / recovery to the best iterate) instead of returning
-// garbage.
-func DivergentOptions(base covest.Options) covest.Options {
-	base.InitStep = 1e12
-	base.Accelerated = true
-	return base
 }
 
 var _ meas.Prober = (*Sounder)(nil)

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -424,7 +425,7 @@ func (c *cellular) alignUE(ue *cellUE, b, budget int) (align.Trajectory, error) 
 	if err != nil {
 		return align.Trajectory{}, err
 	}
-	return align.Evaluate(env, strat, budget)
+	return align.EvaluateContext(context.Background(), env, strat, budget)
 }
 
 // trueServingSNR returns the ground-truth SNR of the UE's held pair on

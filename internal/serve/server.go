@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -614,13 +615,17 @@ func (t *latencyTracker) summaries() map[string]LatencySummary {
 
 // decodeBody decodes a JSON request body with a size cap and strict
 // field checking, so typos in tuning knobs fail loudly instead of
-// silently selecting defaults.
+// silently selecting defaults. The body must hold exactly one JSON
+// value: anything after it but whitespace is rejected.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, 4<<20)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request: unexpected data after the JSON body")
 	}
 	return nil
 }

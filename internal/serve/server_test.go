@@ -735,12 +735,19 @@ func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	est, aln := string(estimateBody(2, 4)), string(alignBody(42))
 	cases := []struct {
 		name string
 		url  string
 		body string
 	}{
 		{"malformed json", "/v1/estimate", `{`},
+		{"estimate trailing garbage", "/v1/estimate", est + " garbage"},
+		{"estimate trailing bracket", "/v1/estimate", est + "]"},
+		{"estimate second object", "/v1/estimate", est + `{"top_k":-1}`},
+		{"align trailing garbage", "/v1/align", aln + " garbage"},
+		{"align trailing bracket", "/v1/align", aln + "]"},
+		{"align second object", "/v1/align", aln + `{"budget":0}`},
 		{"unknown field", "/v1/estimate", `{"not_a_field": 1}`},
 		{"no observations", "/v1/estimate", `{"panel_x": 4, "panel_z": 1}`},
 		{"beam out of range", "/v1/estimate", `{"panel_x":4,"panel_z":1,"beams_az":4,"beams_el":1,"observations":[{"beam":99,"energy":1}]}`},
@@ -762,6 +769,12 @@ func TestBadRequests(t *testing.T) {
 		}
 		if kind := decodeErrorBody(t, data).Error.Kind; kind != errBadRequest {
 			t.Errorf("%s: kind = %q, want %q", tc.name, kind, errBadRequest)
+		}
+	}
+	// Whitespace after the one JSON value is not trailing data.
+	for url, body := range map[string]string{"/v1/estimate": est + " \n\t", "/v1/align": aln + "\n"} {
+		if status, _, data := post(t, ts.URL+url, []byte(body)); status != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status = %d, want 200; body %s", url, status, data)
 		}
 	}
 
