@@ -95,6 +95,10 @@ func main() {
 		names = strings.Split(*benches, ",")
 	}
 
+	// allocs/op depends on the processor count: the GEMM kernels fan
+	// out across goroutines (and allocate for it) only when GOMAXPROCS
+	// is at least 2. The committed baselines were recorded at 1.
+	fmt.Printf("benchdiff: GOMAXPROCS=%d, %s\n", runtime.GOMAXPROCS(0), runtime.Version())
 	failed := false
 	for _, name := range names {
 		name = strings.TrimSpace(name)

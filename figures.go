@@ -62,15 +62,17 @@ type RunSolverStats struct {
 	// Estimations is the number of covariance solves.
 	Estimations int64
 	// Iters totals proximal steps across all solves; EigenDecomps,
-	// EigenIters, ObjectiveEvals, GradientEvals and Backtracks total the
-	// per-solve cost counters, and Restarts the divergence-forced
-	// momentum restarts.
+	// EigenIters, ObjectiveEvals, GradientEvals, Backtracks, LambdaMadds
+	// and GradientMadds total the per-solve cost counters, and Restarts
+	// the divergence-forced momentum restarts.
 	Iters          int64
 	EigenDecomps   int64
 	EigenIters     int64
 	ObjectiveEvals int64
 	GradientEvals  int64
 	Backtracks     int64
+	LambdaMadds    int64
+	GradientMadds  int64
 	Restarts       int64
 	// Recovered and Degraded count solves that ended through a solver
 	// guardrail.

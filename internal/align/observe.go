@@ -17,6 +17,8 @@ func SolveSample(st covest.Stats) obs.SolveSample {
 		ObjectiveEvals: st.ObjectiveEvals,
 		GradientEvals:  st.GradientEvals,
 		Backtracks:     st.Backtracks,
+		LambdaMadds:    st.LambdaMadds,
+		GradientMadds:  st.GradientMadds,
 		Restarts:       st.Diagnostics.DivergenceRestarts,
 		Rank:           st.Rank,
 		SubspaceDim:    st.SubspaceDim,

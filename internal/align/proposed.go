@@ -279,8 +279,16 @@ type scoredBeam struct {
 // calls: the whole-codebook score vector and the candidate list. It
 // lives in Run rather than on the strategy so ProposedStrategy
 // stays stateless and safe to share across concurrent experiment cells.
+//
+// all is keyed on the estimate it scores (allFor). Phase 3 of one slot
+// and phase 1 of the next select under the same Q̂ (paper Algorithm 1,
+// steps 3(a) and 3(b)), so the second call reuses the vector instead of
+// rescoring the codebook. The key is a pointer: every estimate is a
+// fresh matrix that is never written in place, and the cached pointer
+// keeps it alive, so an equal pointer means equal contents.
 type selectScratch struct {
 	all    []float64
+	allFor *cmat.Matrix
 	scored []scoredBeam
 }
 
@@ -292,8 +300,9 @@ type selectScratch struct {
 // the paper's "random for the very first TX slot" rule, not like a
 // deterministic sweep of beam 0, 1, 2, …. Scoring batches the whole
 // codebook through one GEMM (Codebook.QuadFormScoresInto), which is
-// bitwise identical to the per-beam QuadForm it replaces; the selection
-// logic below is untouched so fixed-seed trajectories do not move.
+// bitwise identical to the per-beam QuadForm it replaces, and runs once
+// per estimate (see selectScratch); the selection logic below is
+// untouched so fixed-seed trajectories do not move.
 func (s *ProposedStrategy) selectBeams(env *Env, qhat *cmat.Matrix, avail []int, k int, scr *selectScratch) []int {
 	if k > len(avail) {
 		k = len(avail)
@@ -315,9 +324,13 @@ func (s *ProposedStrategy) selectBeams(env *Env, qhat *cmat.Matrix, avail []int,
 
 	if cap(scr.all) < env.RXBook.Size() {
 		scr.all = make([]float64, env.RXBook.Size())
+		scr.allFor = nil
 	}
 	all := scr.all[:env.RXBook.Size()]
-	env.RXBook.QuadFormScoresInto(qhat, all)
+	if scr.allFor != qhat {
+		env.RXBook.QuadFormScoresInto(qhat, all)
+		scr.allFor = qhat
+	}
 
 	scores := scr.scored[:0]
 	var maxScore float64

@@ -3,6 +3,7 @@ package antenna
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mmwalign/internal/cmat"
@@ -35,7 +36,7 @@ func TestBestQuadFormMatchesScalarScan(t *testing.T) {
 	cb := testCodebook()
 	for seed := int64(1); seed <= 5; seed++ {
 		q := randHermQ(seed, cb.Array().Elements())
-		gotIdx, gotVal := cb.BestQuadForm(q)
+		gotIdx, gotVal := BestScore(cb.QuadFormScoresInto(q, make([]float64, cb.Size())))
 		wantIdx, wantVal := -1, math.Inf(-1)
 		for i := 0; i < cb.Size(); i++ {
 			if v := q.QuadForm(cb.Beam(i).Weights); v > wantVal {
@@ -43,7 +44,7 @@ func TestBestQuadFormMatchesScalarScan(t *testing.T) {
 			}
 		}
 		if gotIdx != wantIdx || gotVal != wantVal {
-			t.Fatalf("seed %d: BestQuadForm = (%d, %v), want (%d, %v)", seed, gotIdx, gotVal, wantIdx, wantVal)
+			t.Fatalf("seed %d: BestScore = (%d, %v), want (%d, %v)", seed, gotIdx, gotVal, wantIdx, wantVal)
 		}
 	}
 }
@@ -143,3 +144,128 @@ func TestQuadFormScoresConcurrentUse(t *testing.T) {
 type errTest int
 
 func (e errTest) Error() string { return "score mismatch at beam " + string(rune('0'+int(e))) }
+
+// oldTopK and oldBest are the per-call ranking rules TopKQuadFormInto
+// and BestQuadForm applied before scoring moved to a single pass: NaN
+// replaced by −Inf in a scratch copy, a repeated scan for k ≤ 8 and a
+// sort beyond, and a strict > argmax over the raw scores.
+func oldTopK(raw []float64, k int) []int {
+	if k > len(raw) {
+		k = len(raw)
+	}
+	var dst []int
+	if k <= 0 {
+		return dst
+	}
+	scores := append([]float64(nil), raw...)
+	for i, v := range scores {
+		if math.IsNaN(v) {
+			scores[i] = math.Inf(-1)
+		}
+	}
+	if k <= 8 {
+		for n := 0; n < k; n++ {
+			best := -1
+			for i, v := range scores {
+				if best >= 0 && v <= scores[best] {
+					continue
+				}
+				taken := false
+				for _, t := range dst {
+					taken = taken || t == i
+				}
+				if !taken {
+					best = i
+				}
+			}
+			dst = append(dst, best)
+		}
+		return dst
+	}
+	for i := range scores {
+		dst = append(dst, i)
+	}
+	sort.Slice(dst, func(a, b int) bool {
+		if scores[dst[a]] != scores[dst[b]] {
+			return scores[dst[a]] > scores[dst[b]]
+		}
+		return dst[a] < dst[b]
+	})
+	return dst[:k]
+}
+
+func oldBest(scores []float64) (int, float64) {
+	best, bestVal := -1, math.Inf(-1)
+	for i, v := range scores {
+		if v > bestVal {
+			best, bestVal = i, v
+		}
+	}
+	return best, bestVal
+}
+
+// TestSinglePassRankingMatchesPerCall pins that ranking one score
+// vector with BestScore and TopKScoresInto gives what the per-call
+// BestQuadForm and TopKQuadFormInto gave, on vectors with NaN scores,
+// ±Inf, exact ties and all-equal runs, for k on both sides of the scan
+// cutoff and past the vector's length. The scores must come back
+// unmodified, since the serving path reads them after ranking.
+func TestSinglePassRankingMatchesPerCall(t *testing.T) {
+	r := rand.New(rand.NewSource(77))
+	pool := []float64{0, 1, -1, 2.5, math.NaN(), math.Inf(-1), math.Inf(1)}
+	var dst []int
+	for trial := 0; trial < 400; trial++ {
+		n := r.Intn(40)
+		scores := make([]float64, n)
+		for i := range scores {
+			if r.Intn(3) == 0 {
+				scores[i] = pool[r.Intn(len(pool))] // ties, NaN, ±Inf
+			} else {
+				scores[i] = r.NormFloat64()
+			}
+		}
+		if trial%50 == 0 {
+			for i := range scores {
+				scores[i] = math.NaN()
+			}
+		}
+		orig := append([]float64(nil), scores...)
+		gi, gv := BestScore(scores)
+		wi, wv := oldBest(scores)
+		if gi != wi || !(gv == wv || math.IsNaN(gv) && math.IsNaN(wv)) {
+			t.Fatalf("trial %d: BestScore = (%d, %v), per-call (%d, %v)", trial, gi, gv, wi, wv)
+		}
+		for _, k := range []int{0, 1, 3, 8, 9, 16, n, n + 5} {
+			dst = TopKScoresInto(scores, k, dst)
+			want := oldTopK(scores, k)
+			if len(dst) != len(want) {
+				t.Fatalf("trial %d k=%d: %v, per-call %v", trial, k, dst, want)
+			}
+			for i := range want {
+				if dst[i] != want[i] {
+					t.Fatalf("trial %d k=%d: %v, per-call %v", trial, k, dst, want)
+				}
+			}
+		}
+		for i := range scores {
+			if math.Float64bits(scores[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("trial %d: ranking modified score %d", trial, i)
+			}
+		}
+	}
+
+	// And end to end on a codebook: one scoring pass ranked twice equals
+	// TopKQuadFormInto's own pass.
+	cb := testCodebook()
+	q := randHermQ(88, cb.Array().Elements())
+	scores := cb.QuadFormScoresInto(q, make([]float64, cb.Size()))
+	for _, k := range []int{1, 8, 9, cb.Size() + 3} {
+		got := TopKScoresInto(scores, k, nil)
+		want := cb.TopKQuadForm(q, k)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d: single pass %v, TopKQuadForm %v", k, got, want)
+			}
+		}
+	}
+}

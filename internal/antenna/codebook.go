@@ -272,20 +272,14 @@ func (c *Codebook) QuadFormScoresInto(q *cmat.Matrix, dst []float64) []float64 {
 	return dst
 }
 
-// BestQuadForm returns the beam index maximizing the quadratic form
-// wᴴ·Q·w over the codebook, together with the achieved value; the
-// lowest index wins exact ties. This is the eigen-beam selection rule
-// of the paper (Eq. 26) restricted to the codebook. Panics if Q's
-// dimension differs from the array size.
-func (c *Codebook) BestQuadForm(q *cmat.Matrix) (int, float64) {
-	if len(c.beams) == 0 {
-		return -1, math.Inf(-1)
-	}
-	ws := c.getScoreSpace()
-	defer c.putScoreSpace(ws)
-	c.scoresInto(q, ws, ws.scores)
+// BestScore returns the index of the largest score and its value; the
+// lowest index wins exact ties. Applied to QuadFormScoresInto's output
+// it is the eigen-beam selection rule of the paper (Eq. 26) restricted
+// to the codebook. NaN scores never win, and when no score exceeds −Inf
+// it returns (−1, −Inf).
+func BestScore(scores []float64) (int, float64) {
 	best, bestVal := -1, math.Inf(-1)
-	for i, v := range ws.scores {
+	for i, v := range scores {
 		if v > bestVal {
 			best, bestVal = i, v
 		}
@@ -294,7 +288,7 @@ func (c *Codebook) BestQuadForm(q *cmat.Matrix) (int, float64) {
 }
 
 // topKScanCutoff is the largest k served by the repeated-scan path in
-// TopKQuadFormInto; beyond it one full sort is cheaper than k passes.
+// TopKScoresInto; beyond it one full sort is cheaper than k passes.
 const topKScanCutoff = 8
 
 // TopKQuadForm returns the indices of the k beams with the largest
@@ -307,36 +301,39 @@ func (c *Codebook) TopKQuadForm(q *cmat.Matrix, k int) []int {
 
 // TopKQuadFormInto is TopKQuadForm with a caller-supplied result buffer:
 // dst is truncated and appended to, so a buffer reused across calls
-// makes repeated ranking allocation-free on the small-k path. Ordering
-// is total and path-independent — scores descend, exact ties break
-// toward the lower beam index, and NaN scores rank below every finite
-// score — whether the small-k scan or the sort path serves the request.
+// makes repeated ranking allocation-free on the small-k path. It scores
+// the codebook once and ranks with TopKScoresInto.
 func (c *Codebook) TopKQuadFormInto(q *cmat.Matrix, k int, dst []int) []int {
-	if k > len(c.beams) {
-		k = len(c.beams)
-	}
-	dst = dst[:0]
-	if k <= 0 {
-		return dst
+	if min(k, len(c.beams)) <= 0 {
+		return dst[:0]
 	}
 	ws := c.getScoreSpace()
 	defer c.putScoreSpace(ws)
 	c.scoresInto(q, ws, ws.scores)
-	scores := ws.scores
-	// Replace NaN with −Inf so both selection paths compare under the
-	// same strict weak ordering.
-	for i, v := range scores {
-		if math.IsNaN(v) {
-			scores[i] = math.Inf(-1)
-		}
+	return TopKScoresInto(ws.scores, k, dst)
+}
+
+// TopKScoresInto appends to dst[:0] the indices of the k largest
+// scores, in descending order, and returns it; k is clamped to
+// len(scores). Ordering is total and path-independent — scores
+// descend, exact ties break toward the lower index, and NaN scores rank
+// below every finite score, tied with −Inf — whether the small-k scan
+// or the sort path serves the request. scores is not modified, so a
+// caller that scored the codebook once can take the best, the top k and
+// the individual scores from the same vector.
+func TopKScoresInto(scores []float64, k int, dst []int) []int {
+	k = min(k, len(scores))
+	dst = dst[:0]
+	if k <= 0 {
+		return dst
 	}
 	if k <= topKScanCutoff {
 		// Partial selection by repeated scan: k is small (J−1 ≈ a
 		// handful), so k linear passes beat sorting all M scores.
 		for n := 0; n < k; n++ {
 			best := -1
-			for i, v := range scores {
-				if best >= 0 && v <= scores[best] {
+			for i := range scores {
+				if best >= 0 && rankKey(scores[i]) <= rankKey(scores[best]) {
 					continue
 				}
 				taken := false
@@ -358,13 +355,21 @@ func (c *Codebook) TopKQuadFormInto(q *cmat.Matrix, k int, dst []int) []int {
 		dst = append(dst, i)
 	}
 	sort.Slice(dst, func(a, b int) bool {
-		if scores[dst[a]] != scores[dst[b]] {
-			return scores[dst[a]] > scores[dst[b]]
+		if ka, kb := rankKey(scores[dst[a]]), rankKey(scores[dst[b]]); ka != kb {
+			return ka > kb
 		}
 		return dst[a] < dst[b]
 	})
-	dst = dst[:k]
-	return dst
+	return dst[:k]
+}
+
+// rankKey maps NaN to −Inf so both TopKScoresInto selection paths
+// compare under one strict weak ordering.
+func rankKey(v float64) float64 {
+	if math.IsNaN(v) {
+		return math.Inf(-1)
+	}
+	return v
 }
 
 // String describes the codebook.

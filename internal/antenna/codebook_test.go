@@ -141,12 +141,12 @@ func TestSnakeOrderCoversAllAdjacent(t *testing.T) {
 
 func TestBestQuadFormFindsPlantedDirection(t *testing.T) {
 	cb := testCodebook()
-	// Plant Q = w wᴴ for codeword 13; BestQuadForm must return 13.
+	// Plant Q = w wᴴ for codeword 13; the best score must be beam 13.
 	target := cb.Beam(13).Weights
 	q := target.Outer(target)
-	idx, val := cb.BestQuadForm(q)
+	idx, val := BestScore(cb.QuadFormScoresInto(q, make([]float64, cb.Size())))
 	if idx != 13 {
-		t.Errorf("BestQuadForm = %d, want 13", idx)
+		t.Errorf("BestScore = %d, want 13", idx)
 	}
 	if math.Abs(val-1) > 1e-10 {
 		t.Errorf("value = %g, want 1", val)

@@ -8,7 +8,7 @@ import (
 )
 
 // The scoreSpace single-owner assertions guard the pooled GEMM scratch
-// behind QuadFormScoresInto/BestQuadForm/TopKQuadForm: a double put (or
+// behind QuadFormScoresInto/TopKQuadForm: a double put (or
 // a put-then-reuse) would hand one buffer to two concurrent scoring
 // passes and corrupt scores silently. These tests pin the panics.
 
@@ -59,7 +59,7 @@ func TestScoreSpaceRecycledOnPanicPath(t *testing.T) {
 	q := cb.Beam(0).Weights.Outer(cb.Beam(0).Weights).Hermitianize()
 	dst := make([]float64, cb.Size())
 	cb.QuadFormScoresInto(q, dst)
-	if best, _ := cb.BestQuadForm(q); best != 0 {
-		t.Errorf("BestQuadForm = %d, want 0 (rank-one Q on beam 0)", best)
+	if best, _ := BestScore(dst); best != 0 {
+		t.Errorf("BestScore = %d, want 0 (rank-one Q on beam 0)", best)
 	}
 }

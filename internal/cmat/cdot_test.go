@@ -45,37 +45,48 @@ func TestCdotDiagHerm2MatchesGoBitwise(t *testing.T) {
 	}
 }
 
-// TestMulDiagHermIntoOddColumns exercises the paired kernel's odd-tail
-// path against the pre-pairing reference implementation.
-func TestMulDiagHermIntoOddColumns(t *testing.T) {
+// TestMulDiagGramIntoOddColumns exercises the paired kernel's odd-tail
+// path and the mirrored lower triangle against a naive reference at odd
+// and even dimensions (300 shapes), with exact zeros in the operand and
+// the diagonal. Entries on and above the diagonal must match bit for bit;
+// mirrored entries must match under == (only the sign of an exact zero
+// may differ). The test runs under both the SSE2 build and -tags
+// purego.
+func TestMulDiagGramIntoOddColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, dims := range [][2]int{{1, 1}, {3, 5}, {5, 4}, {7, 9}, {8, 8}} {
+	shapes := [][2]int{{1, 1}, {2, 3}, {3, 5}, {5, 4}, {7, 9}, {8, 8}, {33, 40}, {56, 56}}
+	for len(shapes) < 300 {
+		shapes = append(shapes, [2]int{1 + rng.Intn(24), 1 + rng.Intn(30)})
+	}
+	for _, dims := range shapes {
 		rows, inner := dims[0], dims[1]
-		a := New(rows, inner)
-		b := New(rows, inner)
-		d := make([]complex128, inner)
-		for i := range a.data {
-			a.data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			b.data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		for i := range d {
-			d[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		got := New(rows, rows)
-		got.MulDiagHermInto(a, d, b)
-		want := New(rows, rows)
-		for i := 0; i < rows; i++ {
-			for k := 0; k < rows; k++ {
-				var s complex128
-				for j := 0; j < inner; j++ {
-					s += d[j] * (a.data[i*inner+j] * cmplx.Conj(b.data[k*inner+j]))
+		for trial := 0; trial < 2; trial++ {
+			a := New(rows, inner)
+			d := make([]complex128, inner)
+			for i := range a.data {
+				if rng.Intn(5) == 0 {
+					continue // exact zero
 				}
-				want.data[i*rows+k] = s
+				a.data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
-		}
-		for i := range got.data {
-			if !bitEqualComplex(got.data[i], want.data[i]) {
-				t.Fatalf("rows=%d inner=%d: entry %d = %v, want %v", rows, inner, i, got.data[i], want.data[i])
+			for i := range d {
+				if rng.Intn(4) != 0 {
+					d[i] = complex(rng.NormFloat64(), 0)
+				}
+			}
+			got := New(rows, rows)
+			got.MulDiagGramInto(a, d)
+			for i := 0; i < rows; i++ {
+				for k := 0; k < rows; k++ {
+					var want complex128
+					for j := 0; j < inner; j++ {
+						want += d[j] * (a.data[i*inner+j] * cmplx.Conj(a.data[k*inner+j]))
+					}
+					g := got.data[i*rows+k]
+					if k >= i && !bitEqualComplex(g, want) || g != want {
+						t.Fatalf("rows=%d inner=%d trial %d: entry (%d,%d) = %v, want %v", rows, inner, trial, i, k, g, want)
+					}
+				}
 			}
 		}
 	}

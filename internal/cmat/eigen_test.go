@@ -317,7 +317,7 @@ func TestEigenRejectsNonFinite(t *testing.T) {
 		_, err = EigenSoftThresholdPSD(a, 0.1)
 		check("EigenSoftThresholdPSD", err)
 		dst := Identity(3)
-		err = EigenSoftThresholdPSDInto(NewEigenWorkspace(3), dst, a, 0.1)
+		_, err = EigenSoftThresholdPSDInto(NewEigenWorkspace(3), dst, nil, nil, a, 0.1)
 		check("EigenSoftThresholdPSDInto", err)
 		if !dst.Equal(Identity(3)) {
 			t.Error("EigenSoftThresholdPSDInto wrote dst despite rejecting its input")
@@ -426,7 +426,7 @@ func BenchmarkEigenSoftThresholdPSD(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := EigenSoftThresholdPSDInto(ws, dst, h, 1); err != nil {
+				if _, err := EigenSoftThresholdPSDInto(ws, dst, nil, nil, h, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

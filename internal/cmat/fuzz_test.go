@@ -3,6 +3,7 @@ package cmat
 import (
 	"errors"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -144,11 +145,38 @@ func FuzzEigenSoftThresholdPSD(f *testing.F) {
 		}
 		// Into variant, dst aliasing the input, must match bitwise.
 		alias := h.Clone()
-		if err := EigenSoftThresholdPSDInto(NewEigenWorkspace(dim), alias, alias, tau); err != nil {
+		if _, err := EigenSoftThresholdPSDInto(NewEigenWorkspace(dim), alias, nil, nil, alias, tau); err != nil {
 			t.Fatal(err)
 		}
 		if !alias.Equal(out) {
 			t.Error("aliased Into variant differs bitwise from allocating variant")
+		}
+		// The factor describes the same matrix: Σ_k s_k·u_k·u_kᴴ with
+		// u_kᴴ the rows of uh, and asking for it leaves dst's bits alone.
+		fdst, uh, sv := New(dim, dim), New(dim, dim), make([]float64, dim)
+		kept, err := EigenSoftThresholdPSDInto(NewEigenWorkspace(dim), fdst, uh, sv, h, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fdst.Equal(out) {
+			t.Error("factor-returning call differs bitwise from allocating variant")
+		}
+		if uh.Rows() != kept || uh.Cols() != dim {
+			t.Fatalf("factor shape %dx%d, want %dx%d", uh.Rows(), uh.Cols(), kept, dim)
+		}
+		rec := New(dim, dim)
+		for k := 0; k < kept; k++ {
+			if !(sv[k] > 0) {
+				t.Errorf("kept value %d = %g, want positive", k, sv[k])
+			}
+			u := uh.Row(k)
+			for i := range u {
+				u[i] = cmplx.Conj(u[i])
+			}
+			rec.AddScaledOuter(complex(sv[k], 0), u)
+		}
+		if !rec.ApproxEqual(out, tol) {
+			t.Error("factor reconstruction differs from the thresholded matrix")
 		}
 	})
 }

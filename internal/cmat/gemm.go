@@ -165,52 +165,65 @@ func mulHermIntoRows(dst, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MulDiagHermInto writes a·diag(d)·bᴴ into dst with the grouping
-// dst[i][k] = Σ_j d[j]·(a[i][j]·conj(b[k][j])), accumulated in ascending
-// j. The per-term grouping d·(a·conj(b)) matches a sequence of rank-one
-// updates AddInPlace(d[j], col_j·col_jᴴ) bit for bit — the kernel is the
-// batched replacement for a cached-outer-product gradient assembly. a
-// may alias b; dst must alias neither. Panics on shape mismatch or when
-// len(d) differs from the inner dimension.
-func (dst *Matrix) MulDiagHermInto(a *Matrix, d []complex128, b *Matrix) {
-	if a.cols != b.cols || dst.rows != a.rows || dst.cols != b.rows {
-		panic(fmt.Sprintf("cmat: MulDiagHermInto shape mismatch %dx%d = %dx%d · diag(%d) · (%dx%d)ᴴ",
-			dst.rows, dst.cols, a.rows, a.cols, len(d), b.rows, b.cols))
+// MulDiagGramInto writes the Hermitian Gram form a·diag(d)·aᴴ into dst
+// with the grouping dst[i][k] = Σ_j d[j]·(a[i][j]·conj(a[k][j])),
+// accumulated in ascending j. The per-term grouping d·(a·conj(a))
+// matches a sequence of rank-one updates AddInPlace(d[j], col_j·col_jᴴ)
+// bit for bit on and above the diagonal — the kernel is the batched
+// replacement for a cached-outer-product gradient assembly. Only the
+// upper triangle is computed; each lower entry is written as the
+// conjugate of its mirror. For real d (the solver's gradient
+// coefficients) that equals the directly computed entry under ==, and
+// only the sign of an exact zero can differ. dst must not alias a.
+// Panics on shape mismatch or when len(d) differs from a's column
+// count.
+func (dst *Matrix) MulDiagGramInto(a *Matrix, d []complex128) {
+	if dst.rows != a.rows || dst.cols != a.rows {
+		panic(fmt.Sprintf("cmat: MulDiagGramInto shape mismatch %dx%d = %dx%d · diag(%d) · (%dx%d)ᴴ",
+			dst.rows, dst.cols, a.rows, a.cols, len(d), a.rows, a.cols))
 	}
 	if len(d) != a.cols {
-		panic(fmt.Sprintf("cmat: MulDiagHermInto diagonal length %d, want %d", len(d), a.cols))
+		panic(fmt.Sprintf("cmat: MulDiagGramInto diagonal length %d, want %d", len(d), a.cols))
 	}
-	if dst == a || dst == b {
-		panic("cmat: MulDiagHermInto dst must not alias an operand")
+	if dst == a {
+		panic("cmat: MulDiagGramInto dst must not alias its operand")
 	}
-	if gemmParallel(dst.rows, dst.rows*a.cols*dst.cols) {
-		parallelRows(dst.rows, func(lo, hi int) { mulDiagHermIntoRows(dst, a, d, b, lo, hi) })
+	if gemmParallel(dst.rows, dst.rows*(dst.rows+1)/2*a.cols) {
+		parallelRows(dst.rows, func(lo, hi int) { mulDiagGramIntoRows(dst, a, d, lo, hi) })
 		return
 	}
-	mulDiagHermIntoRows(dst, a, d, b, 0, dst.rows)
+	mulDiagGramIntoRows(dst, a, d, 0, dst.rows)
 }
 
-func mulDiagHermIntoRows(dst, a *Matrix, d []complex128, b *Matrix, lo, hi int) {
-	inner := a.cols
+// mulDiagGramIntoRows computes the upper-triangle entries of rows
+// [lo, hi) and mirrors each off-diagonal one into the lower triangle.
+// The entries a chunk writes — its own rows from the diagonal right,
+// and its own columns below the diagonal — are disjoint from every
+// other chunk's, so parallel chunks never race.
+func mulDiagGramIntoRows(dst, a *Matrix, d []complex128, lo, hi int) {
+	inner, n := a.cols, dst.rows
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*inner : (i+1)*inner]
-		orow := dst.data[i*dst.cols : (i+1)*dst.cols]
+		orow := dst.data[i*n : (i+1)*n]
 		// Pair output entries so the kernel runs two independent
 		// accumulation chains; each entry's ordered ascending-j sum is
 		// unchanged (see cdot.go).
-		k := 0
-		for ; k+1 < len(orow); k += 2 {
-			b0 := b.data[k*inner : (k+1)*inner]
-			b1 := b.data[(k+1)*inner : (k+2)*inner]
+		k := i
+		for ; k+1 < n; k += 2 {
+			b0 := a.data[k*inner : (k+1)*inner]
+			b1 := a.data[(k+1)*inner : (k+2)*inner]
 			orow[k], orow[k+1] = cdotDiagHerm2(arow, d, b0, b1)
 		}
-		if k < len(orow) {
-			brow := b.data[k*inner : (k+1)*inner]
+		if k < n {
+			brow := a.data[k*inner : (k+1)*inner]
 			var s complex128
 			for j, av := range arow {
 				s += d[j] * (av * cmplx.Conj(brow[j]))
 			}
 			orow[k] = s
+		}
+		for k := i + 1; k < n; k++ {
+			dst.data[k*n+i] = cmplx.Conj(orow[k])
 		}
 	}
 }

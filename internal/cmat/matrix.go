@@ -121,6 +121,20 @@ func (m *Matrix) CopyFrom(b *Matrix) {
 	copy(m.data, b.data)
 }
 
+// Reshape sets m's shape to rows×cols over its existing storage, for
+// workspaces whose shape varies below a fixed capacity. The storage
+// must hold rows·cols entries (the product of the shape m was created
+// with bounds it); entries are reinterpreted in row-major order, not
+// preserved by position. Allocates nothing. Panics on a negative
+// dimension or when the storage is too small.
+func (m *Matrix) Reshape(rows, cols int) {
+	if rows < 0 || cols < 0 || rows*cols > cap(m.data) {
+		panic(fmt.Sprintf("cmat: Reshape to %dx%d over storage for %d entries", rows, cols, cap(m.data)))
+	}
+	m.rows, m.cols = rows, cols
+	m.data = m.data[:rows*cols]
+}
+
 // Zero sets every entry of m to zero in place.
 func (m *Matrix) Zero() {
 	for i := range m.data {

@@ -45,7 +45,7 @@ func randBatchFixture(t *testing.T, seed int64, dim, l int) (*Estimator, *solver
 func TestBatchedLambdasMatchScalarBitwise(t *testing.T) {
 	for _, dims := range [][2]int{{4, 6}, {17, 23}, {56, 96}} {
 		est, wk, vs, q, _ := randBatchFixture(t, int64(dims[0]), dims[0], dims[1])
-		ls := est.lambdasFor(q, wk)
+		ls := est.lambdasFor(q, wk, &Stats{})
 		for j, v := range vs {
 			want := flooredLambda(est.opts.Gamma, q.QuadForm(v))
 			if ls[j] != want {
@@ -57,7 +57,7 @@ func TestBatchedLambdasMatchScalarBitwise(t *testing.T) {
 
 func TestBatchedGradientMatchesOutersBitwise(t *testing.T) {
 	est, wk, vs, q, ws := randBatchFixture(t, 99, 12, 20)
-	if !est.gradientInto(wk.grad, q, wk, ws) {
+	if !est.gradientInto(wk.grad, q, wk, ws, &Stats{}) {
 		t.Fatal("gradientInto reported non-finite coefficients on a finite fixture")
 	}
 
@@ -83,7 +83,7 @@ func TestBatchedGradientMatchesOutersBitwise(t *testing.T) {
 
 func TestBatchedObjectiveMatchesScalarBitwise(t *testing.T) {
 	est, wk, vs, q, ws := randBatchFixture(t, 7, 10, 15)
-	got := est.objective(q, wk, ws)
+	got := est.objective(q, wk, ws, &Stats{})
 	var want float64
 	for j, v := range vs {
 		l := flooredLambda(est.opts.Gamma, q.QuadForm(v))
@@ -97,7 +97,7 @@ func TestBatchedObjectiveMatchesScalarBitwise(t *testing.T) {
 
 func TestLambdaCacheInvalidation(t *testing.T) {
 	est, wk, _, q, _ := randBatchFixture(t, 31, 8, 12)
-	first := est.lambdasFor(q, wk)
+	first := est.lambdasFor(q, wk, &Stats{})
 	v0 := first[0]
 	// Memoized: same matrix pointer returns the cached slice without
 	// recomputation.
@@ -111,7 +111,7 @@ func TestLambdaCacheInvalidation(t *testing.T) {
 		t.Fatal("noteWrite did not clear the λ cache tag")
 	}
 	q.Set(0, 0, q.At(0, 0)+complex(1, 0))
-	second := est.lambdasFor(q, wk)
+	second := est.lambdasFor(q, wk, &Stats{})
 	if second[0] == v0 {
 		t.Fatal("λ not recomputed after cache invalidation")
 	}

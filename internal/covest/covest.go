@@ -244,6 +244,15 @@ type Stats struct {
 	// Backtracks counts rejected backtracking line-search trials; each
 	// one costs a full eigendecomposition.
 	Backtracks int
+	// LambdaMadds totals the complex multiply-adds of the λ products:
+	// kept·dim·L for a λ vector read off a prox step's kept eigenpairs,
+	// dim²·L for one computed from a dense iterate (L observations).
+	// Like EigenIters, it depends only on the matrices involved.
+	LambdaMadds int
+	// GradientMadds totals the complex multiply-adds of the gradient
+	// assemblies, dim(dim+1)/2·L each (the upper triangle of
+	// V·diag(c)·Vᴴ).
+	GradientMadds int
 	// Diagnostics records how the solve terminated and whether any
 	// guardrail fired.
 	Diagnostics SolveDiagnostics
@@ -271,26 +280,34 @@ type Estimator struct {
 	busy atomic.Bool
 }
 
-// Reset clears all cross-call solver state: the λ memoization tag and
-// the workspace iterate/gradient matrices. Every Estimate call fully
-// re-initializes the workspace from its inputs, so Reset is not needed
-// for correctness between calls on one owner; it exists for pooled
-// reuse across owners (a serving session lease), where it guarantees a
-// freshly leased estimator cannot observe any numeric residue — not
-// even transiently — of the previous owner's solve.
+// Reset clears all cross-call solver state: the λ memoization and
+// factor tags and the workspace iterate, gradient and factor buffers.
+// Every Estimate call fully re-initializes the workspace from its
+// inputs, so Reset is not needed for correctness between calls on one
+// owner; it exists for pooled reuse across owners (a serving session
+// lease), where it guarantees a freshly leased estimator cannot observe
+// any numeric residue — not even transiently — of the previous owner's
+// solve.
 func (e *Estimator) Reset() {
 	if e.wk == nil {
 		return
 	}
 	wk := e.wk
 	wk.lamFor = nil
-	for _, m := range []*cmat.Matrix{wk.grad, wk.scratch, wk.cur, wk.nxt, wk.extr, wk.best, wk.diff} {
+	wk.factorFor = nil
+	if wk.uh != nil {
+		wk.uh.Reshape(wk.dim, wk.dim)
+	}
+	for _, m := range []*cmat.Matrix{wk.grad, wk.scratch, wk.cur, wk.nxt, wk.extr, wk.best, wk.diff, wk.uh} {
 		if m != nil {
 			m.Zero()
 		}
 	}
 	for i := range wk.lambdas {
 		wk.lambdas[i] = 0
+	}
+	for i := range wk.s {
+		wk.s[i] = 0
 	}
 	for i := range wk.coefs {
 		wk.coefs[i] = 0
@@ -305,9 +322,13 @@ func (e *Estimator) Reset() {
 //
 // The observation directions are packed once per Estimate call into the
 // dim×L matrix vmat (column j = reduced beam ṽ_j), so every objective
-// and gradient evaluation is a batched kernel: all λ_j come from one
-// Q·V GEMM plus columnwise dots, and the gradient assembles as
-// V·diag(c)·Vᴴ. Total observation-dependent memory is O(dim·L) — the
+// and gradient evaluation is a batched kernel. Every candidate the prox
+// produces is low rank, Q̃ = Σ_k s_k·u_k·u_kᴴ over its kept eigenpairs,
+// so its λ_j come from one kept×dim by dim×L GEMM W = Uᴴ·V as
+// γ·Σ_k s_k·|W_kj|² + 1; iterates without a factor (the starting point,
+// FISTA's extrapolated point, recovery copies) take one Q·V GEMM plus
+// columnwise dots. The gradient assembles as V·diag(c)·Vᴴ, upper
+// triangle only. Total observation-dependent memory is O(dim·L) — the
 // pack and its product buffer — where the old per-observation outer-
 // product cache was O(L·dim²) and grew without bound at Window=0.
 type solverWork struct {
@@ -326,7 +347,7 @@ type solverWork struct {
 	energies []float64     // observation energies, reused across calls
 
 	vmat    *cmat.Matrix // packed reduced beams, dim×L, column j = ṽ_j
-	qv      *cmat.Matrix // product buffer Q·V, dim×L
+	qv      *cmat.Matrix // product buffer, dim×L storage: Q·V, or Uᴴ·V reshaped kept×L
 	colDots []complex128 // columnwise dots diag(VᴴQV)
 	lambdas []float64    // λ_j(Q) for the matrix tagged by lamFor
 	coefs   []complex128 // gradient coefficients c_j
@@ -336,13 +357,24 @@ type solverWork struct {
 	// re-running the GEMM. Any write to a workspace matrix must clear
 	// the tag via noteWrite.
 	lamFor *cmat.Matrix
+
+	// uh (kept×dim over dim×dim storage) and s hold the kept
+	// eigenpairs of the last prox step — row k of uh is u_kᴴ, s[k] its
+	// thresholded eigenvalue — and factorFor tags the candidate they
+	// describe. Like lamFor, noteWrite clears the tag.
+	uh        *cmat.Matrix
+	s         []float64
+	factorFor *cmat.Matrix
 }
 
-// noteWrite invalidates the cached λ vector when the matrix it was
-// computed for is about to be overwritten.
+// noteWrite invalidates the cached λ vector and the prox factor when
+// the matrix they describe is about to be overwritten.
 func (wk *solverWork) noteWrite(m *cmat.Matrix) {
 	if wk.lamFor == m {
 		wk.lamFor = nil
+	}
+	if wk.factorFor == m {
+		wk.factorFor = nil
 	}
 }
 
@@ -366,6 +398,8 @@ func (e *Estimator) work(dim int) *solverWork {
 		wk.extr = cmat.New(dim, dim)
 		wk.best = cmat.New(dim, dim)
 		wk.diff = cmat.New(dim, dim)
+		wk.uh = cmat.New(dim, dim)
+		wk.s = make([]float64, dim)
 		wk.vs = nil
 		wk.vmat = nil
 		wk.qv = nil
@@ -402,7 +436,9 @@ func (wk *solverWork) energiesFor(count int) []float64 {
 // packV packs the reduced beams into the workspace's dim×L matrix
 // (column j = ṽ_j) and sizes the per-observation buffers, reusing
 // storage across Estimate calls when the shape is unchanged. The λ
-// cache is always invalidated: λ depends on the packed directions.
+// cache is always invalidated: λ depends on the packed directions. So
+// is the factor tag, since the caller is about to overwrite the
+// starting iterate in place.
 func (wk *solverWork) packV(vs []cmat.Vector) {
 	l := len(vs)
 	if wk.vmat == nil || wk.vmat.Rows() != wk.dim || wk.vmat.Cols() != l {
@@ -421,6 +457,7 @@ func (wk *solverWork) packV(vs []cmat.Vector) {
 	wk.lambdas = wk.lambdas[:l]
 	wk.coefs = wk.coefs[:l]
 	wk.lamFor = nil
+	wk.factorFor = nil
 }
 
 // NewEstimator creates an estimator for an N-antenna receiver. Returns
@@ -683,7 +720,7 @@ func rankOfSpectrum(vals []float64, tol float64) int {
 func (e *Estimator) istaLoop(ctx context.Context, wk *solverWork, ws []float64, stats *Stats) (*cmat.Matrix, float64, error) {
 	diag := &stats.Diagnostics
 	q := wk.cur
-	obj := e.objective(q, wk, ws)
+	obj := e.objective(q, wk, ws, stats)
 	stats.ObjectiveEvals++
 	if !isFinite(obj) {
 		// A poisoned warm start (or a pathological back-projection) is
@@ -691,7 +728,7 @@ func (e *Estimator) istaLoop(ctx context.Context, wk *solverWork, ws []float64, 
 		// objective is always finite for validated observations.
 		wk.noteWrite(q)
 		q.Zero()
-		obj = e.objective(q, wk, ws)
+		obj = e.objective(q, wk, ws, stats)
 		stats.ObjectiveEvals++
 		diag.Recovered = true
 	}
@@ -702,7 +739,7 @@ func (e *Estimator) istaLoop(ctx context.Context, wk *solverWork, ws []float64, 
 			diag.Reason = StopCancelled
 			return q, obj, ctx.Err()
 		}
-		if ok := e.gradientInto(wk.grad, q, wk, ws); !ok {
+		if ok := e.gradientInto(wk.grad, q, wk, ws, stats); !ok {
 			diag.Reason = StopNonFinite
 			diag.Recovered = true
 			return q, obj, nil
@@ -716,7 +753,7 @@ func (e *Estimator) istaLoop(ctx context.Context, wk *solverWork, ws []float64, 
 				diag.Recovered = true
 				return q, obj, nil
 			}
-			nextObj := e.objective(wk.nxt, wk, ws)
+			nextObj := e.objective(wk.nxt, wk, ws, stats)
 			stats.ObjectiveEvals++
 			if !isFinite(nextObj) {
 				sawNonFinite = true
@@ -779,12 +816,12 @@ func (e *Estimator) fistaLoop(ctx context.Context, wk *solverWork, ws []float64,
 	diag := &stats.Diagnostics
 	x := wk.cur
 	y := wk.extr
-	obj := e.objective(x, wk, ws)
+	obj := e.objective(x, wk, ws, stats)
 	stats.ObjectiveEvals++
 	if !isFinite(obj) {
 		wk.noteWrite(x)
 		x.Zero()
-		obj = e.objective(x, wk, ws)
+		obj = e.objective(x, wk, ws, stats)
 		stats.ObjectiveEvals++
 		diag.Recovered = true
 	}
@@ -810,7 +847,7 @@ func (e *Estimator) fistaLoop(ctx context.Context, wk *solverWork, ws []float64,
 		// The extrapolated point y is fixed for the whole backtracking
 		// search, so its objective is loop-invariant: evaluate it once
 		// per outer iteration, not once per trial.
-		objY := e.objective(y, wk, ws)
+		objY := e.objective(y, wk, ws, stats)
 		stats.ObjectiveEvals++
 		if !isFinite(objY) {
 			// Momentum overshot into non-finite territory: restart from
@@ -830,7 +867,7 @@ func (e *Estimator) fistaLoop(ctx context.Context, wk *solverWork, ws []float64,
 			}
 			continue
 		}
-		if ok := e.gradientInto(wk.grad, y, wk, ws); !ok {
+		if ok := e.gradientInto(wk.grad, y, wk, ws, stats); !ok {
 			diag.Reason = StopNonFinite
 			diag.Recovered = true
 			return best, bestObj, nil
@@ -845,7 +882,7 @@ func (e *Estimator) fistaLoop(ctx context.Context, wk *solverWork, ws []float64,
 				diag.Recovered = true
 				return best, bestObj, nil
 			}
-			candObj := e.objective(wk.nxt, wk, ws)
+			candObj := e.objective(wk.nxt, wk, ws, stats)
 			stats.ObjectiveEvals++
 			if !isFinite(candObj) {
 				sawNonFinite = true
@@ -937,20 +974,25 @@ func (e *Estimator) fistaLoop(ctx context.Context, wk *solverWork, ws []float64,
 
 // proxStepInto applies one proximal gradient step from base with the
 // given step size, prox_{step·µ‖·‖_*,⪰0}(base − step·wk.grad), writing
-// the candidate into wk.nxt. The pre-threshold point lives in
-// wk.scratch and the eigendecomposition runs in the shared workspace,
-// so the step allocates nothing.
+// the candidate into wk.nxt and its kept eigenpairs into wk.uh/wk.s,
+// tagged for wk.nxt. The pre-threshold point lives in wk.scratch and
+// the eigendecomposition runs in the shared workspace, so the step
+// allocates nothing.
 func (e *Estimator) proxStepInto(wk *solverWork, base *cmat.Matrix, step float64, stats *Stats) error {
 	wk.noteWrite(wk.scratch)
 	wk.scratch.AddScaledInto(base, complex(-step, 0), wk.grad)
 	wk.scratch.HermitianizeInPlace()
 	stats.EigenDecomps++
 	wk.noteWrite(wk.nxt)
-	err := cmat.EigenSoftThresholdPSDInto(wk.eig, wk.nxt, wk.scratch, step*e.opts.Mu)
+	// The factor buffers are about to be overwritten, whichever matrix
+	// they described.
+	wk.factorFor = nil
+	_, err := cmat.EigenSoftThresholdPSDInto(wk.eig, wk.nxt, wk.uh, wk.s, wk.scratch, step*e.opts.Mu)
 	stats.EigenIters += wk.eig.Iters()
 	if err != nil {
 		return fmt.Errorf("covest: prox step: %w", err)
 	}
+	wk.factorFor = wk.nxt
 	return nil
 }
 
@@ -1003,34 +1045,66 @@ func flooredLambda(gamma, quad float64) float64 {
 }
 
 // lambdasFor returns λ_j(Q) for every packed observation direction,
-// evaluated in one batch: Q·V with a single GEMM, then columnwise dots
-// ṽ_jᴴ(Q·ṽ_j). Per column the accumulation order matches the scalar
-// QuadForm exactly, so each λ_j is bitwise identical to the
-// per-observation evaluation it replaces. The result is memoized for
-// the matrix it was computed on (cleared by noteWrite), which lets the
-// gradient reuse the λ vector its caller just computed for the
-// objective at the same point.
-func (e *Estimator) lambdasFor(q *cmat.Matrix, wk *solverWork) []float64 {
+// evaluated in one batch. When q is the candidate of the last prox step
+// (wk.factorFor), the kept eigenpairs give them cheaply: W = Uᴴ·V with
+// one kept×dim GEMM, then λ_j = γ·Σ_k s_k·|W_kj|² + 1, with no GEMM at
+// all when nothing survived the threshold. Any other q takes Q·V with a
+// single GEMM, then columnwise dots ṽ_jᴴ(Q·ṽ_j), which accumulate in
+// the scalar QuadForm's order and so match it bit for bit; the factored
+// λ match it to rounding. The result is memoized for the matrix it
+// was computed on (cleared by noteWrite), which lets the gradient reuse
+// the λ vector its caller just computed for the objective at the same
+// point. Every product goes through Options.Batcher when one is set.
+func (e *Estimator) lambdasFor(q *cmat.Matrix, wk *solverWork, stats *Stats) []float64 {
 	if wk.lamFor == q {
 		return wk.lambdas
 	}
-	if e.opts.Batcher != nil {
-		e.opts.Batcher.MulInto(wk.qv, q, wk.vmat)
+	dim, l := wk.vmat.Rows(), wk.vmat.Cols()
+	if wk.factorFor == q {
+		kept := wk.uh.Rows()
+		if kept == 0 {
+			for j := range wk.lambdas {
+				wk.lambdas[j] = flooredLambda(e.opts.Gamma, 0)
+			}
+		} else {
+			wk.qv.Reshape(kept, l)
+			e.mulInto(wk.qv, wk.uh, wk.vmat)
+			stats.LambdaMadds += kept * dim * l
+			for j := range wk.lambdas {
+				var quad float64
+				for k, sk := range wk.s[:kept] {
+					w := wk.qv.At(k, j)
+					quad += sk * (real(w)*real(w) + imag(w)*imag(w))
+				}
+				wk.lambdas[j] = flooredLambda(e.opts.Gamma, quad)
+			}
+		}
 	} else {
-		wk.qv.MulInto(q, wk.vmat)
-	}
-	cmat.ColumnDotsInto(wk.colDots, wk.vmat, wk.qv)
-	for j, d := range wk.colDots {
-		wk.lambdas[j] = flooredLambda(e.opts.Gamma, real(d))
+		wk.qv.Reshape(dim, l)
+		e.mulInto(wk.qv, q, wk.vmat)
+		stats.LambdaMadds += dim * dim * l
+		cmat.ColumnDotsInto(wk.colDots, wk.vmat, wk.qv)
+		for j, d := range wk.colDots {
+			wk.lambdas[j] = flooredLambda(e.opts.Gamma, real(d))
+		}
 	}
 	wk.lamFor = q
 	return wk.lambdas
 }
 
+// mulInto writes a·b into dst through Options.Batcher when one is set.
+func (e *Estimator) mulInto(dst, a, b *cmat.Matrix) {
+	if e.opts.Batcher != nil {
+		e.opts.Batcher.MulInto(dst, a, b)
+	} else {
+		dst.MulInto(a, b)
+	}
+}
+
 // objective evaluates the penalized negative log-likelihood using the
 // batched λ kernel.
-func (e *Estimator) objective(q *cmat.Matrix, wk *solverWork, ws []float64) float64 {
-	ls := e.lambdasFor(q, wk)
+func (e *Estimator) objective(q *cmat.Matrix, wk *solverWork, ws []float64, stats *Stats) float64 {
+	ls := e.lambdasFor(q, wk, stats)
 	var f float64
 	switch e.opts.Kind {
 	case Aggregate:
@@ -1050,14 +1124,15 @@ func (e *Estimator) objective(q *cmat.Matrix, wk *solverWork, ws []float64) floa
 }
 
 // gradientInto writes ∇f(Q) into g (without the penalty term, which is
-// handled by the proximal operator), assembled as the batched product
-// V·diag(c)·Vᴴ — per entry an ordered sum of c_j·(ṽ_j·ṽ_jᴴ) terms,
-// bitwise identical to the rank-one accumulation it replaces. It
+// handled by the proximal operator), assembled as the batched Gram
+// product V·diag(c)·Vᴴ — per upper-triangle entry an ordered sum of
+// c_j·(ṽ_j·ṽ_jᴴ) terms, bitwise identical to the rank-one accumulation
+// it replaces, with each lower entry the conjugate of its mirror. It
 // reports false when any coefficient is NaN/Inf — the O(1) guardrail
 // (per coefficient already being computed) that keeps a poisoned
 // gradient from ever reaching the prox step.
-func (e *Estimator) gradientInto(g, q *cmat.Matrix, wk *solverWork, ws []float64) bool {
-	ls := e.lambdasFor(q, wk)
+func (e *Estimator) gradientInto(g, q *cmat.Matrix, wk *solverWork, ws []float64, stats *Stats) bool {
+	ls := e.lambdasFor(q, wk, stats)
 	switch e.opts.Kind {
 	case Aggregate:
 		var s, w float64
@@ -1082,6 +1157,8 @@ func (e *Estimator) gradientInto(g, q *cmat.Matrix, wk *solverWork, ws []float64
 		}
 	}
 	wk.noteWrite(g)
-	g.MulDiagHermInto(wk.vmat, wk.coefs, wk.vmat)
+	g.MulDiagGramInto(wk.vmat, wk.coefs)
+	dim, l := wk.vmat.Rows(), wk.vmat.Cols()
+	stats.GradientMadds += dim * (dim + 1) / 2 * l
 	return true
 }

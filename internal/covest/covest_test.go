@@ -268,7 +268,7 @@ func TestEstimateOnChannelCovariance(t *testing.T) {
 	}
 	cb := antenna.NewGridCodebook(rx, 8, 8, math.Pi, math.Pi/2)
 	q := ch.RXCovarianceIsotropic()
-	wantBeam, _ := cb.BestQuadForm(q)
+	wantBeam, _ := antenna.BestScore(cb.QuadFormScoresInto(q, make([]float64, cb.Size())))
 
 	gamma := 0.5
 	src := rng.New(206)
@@ -288,7 +288,7 @@ func TestEstimateOnChannelCovariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBeam, _ := cb.BestQuadForm(qhat)
+	gotBeam, _ := antenna.BestScore(cb.QuadFormScoresInto(qhat, make([]float64, cb.Size())))
 	// Accept the true best or one of its grid neighbors (the noisy
 	// estimate may land on an adjacent codeword with near-equal gain).
 	ok := gotBeam == wantBeam

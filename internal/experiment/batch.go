@@ -8,14 +8,14 @@ import (
 )
 
 // Cross-cell GEMM batching. With CrossCellBatch enabled, every
-// concurrently running "proposed"/"two-sided" cell routes its
-// per-iteration Q·V product (the solver's hottest GEMM) through one
-// shared scheduler instead of calling cmat.MulInto directly. The
-// scheduler drains whatever requests are queued at that instant, groups
-// them by matrix shape, and executes each group as a single virtual
-// tall GEMM (cmat.MulIntoPanels) — one parallel fan-out amortized
-// across cells whose individual products sit below the per-call
-// parallel threshold.
+// concurrently running "proposed"/"two-sided" cell routes its solver's
+// λ products (Uᴴ·V off each prox step's kept eigenpairs, Q·V for the
+// other iterates; covest.Options.Batcher) through one shared scheduler
+// instead of calling cmat.MulInto directly. The scheduler drains
+// whatever requests are queued at that instant, groups them by matrix
+// shape, and executes each group as a single virtual tall GEMM
+// (cmat.MulIntoPanels) — one parallel fan-out amortized across cells
+// whose individual products sit below the per-call parallel threshold.
 //
 // Fidelity: batching is pure scheduling. MulIntoPanels produces each
 // panel's dst with the same row kernel and the same per-entry

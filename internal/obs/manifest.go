@@ -213,6 +213,7 @@ func (m *Manifest) Validate() error {
 		{"eigen_decomps", s.EigenDecomps}, {"eigen_iters", s.EigenIters},
 		{"objective_evals", s.ObjectiveEvals},
 		{"gradient_evals", s.GradientEvals}, {"backtracks", s.Backtracks},
+		{"lambda_madds", s.LambdaMadds}, {"gradient_madds", s.GradientMadds},
 		{"restarts", s.Restarts}, {"recovered", s.Recovered}, {"degraded", s.Degraded},
 	} {
 		if c.v < 0 {

@@ -95,10 +95,11 @@ func (c *Counter) Value() int64 {
 // SolveSample is one covariance-solve's worth of covest.Stats, already
 // flattened so this package does not depend on the solver.
 type SolveSample struct {
-	// Iters, EigenDecomps, EigenIters, ObjectiveEvals, GradientEvals
-	// and Backtracks mirror the covest.Stats counters of one Estimate
-	// call.
+	// Iters, EigenDecomps, EigenIters, ObjectiveEvals, GradientEvals,
+	// Backtracks, LambdaMadds and GradientMadds mirror the covest.Stats
+	// counters of one Estimate call.
 	Iters, EigenDecomps, EigenIters, ObjectiveEvals, GradientEvals, Backtracks int
+	LambdaMadds, GradientMadds                                                 int
 	// Restarts is the number of divergence-forced momentum restarts.
 	Restarts int
 	// Rank and SubspaceDim describe the returned estimate.
@@ -122,6 +123,11 @@ type SolverStats struct {
 	ObjectiveEvals int64 `json:"objective_evals"`
 	GradientEvals  int64 `json:"gradient_evals"`
 	Backtracks     int64 `json:"backtracks"`
+	// LambdaMadds and GradientMadds total the complex multiply-adds of
+	// the λ products and the gradient assemblies: exact work counts
+	// that depend only on the matrices involved.
+	LambdaMadds   int64 `json:"lambda_madds"`
+	GradientMadds int64 `json:"gradient_madds"`
 	// Restarts totals divergence-forced momentum restarts.
 	Restarts int64 `json:"restarts"`
 	// Recovered and Degraded count solves that ended through a
@@ -247,6 +253,8 @@ func (r *Recorder) AddSolve(s SolveSample) {
 	agg.ObjectiveEvals += int64(s.ObjectiveEvals)
 	agg.GradientEvals += int64(s.GradientEvals)
 	agg.Backtracks += int64(s.Backtracks)
+	agg.LambdaMadds += int64(s.LambdaMadds)
+	agg.GradientMadds += int64(s.GradientMadds)
 	agg.Restarts += int64(s.Restarts)
 	if s.Recovered {
 		agg.Recovered++
@@ -278,6 +286,8 @@ func (r *Recorder) AddSolverStats(o SolverStats) {
 	agg.ObjectiveEvals += o.ObjectiveEvals
 	agg.GradientEvals += o.GradientEvals
 	agg.Backtracks += o.Backtracks
+	agg.LambdaMadds += o.LambdaMadds
+	agg.GradientMadds += o.GradientMadds
 	agg.Restarts += o.Restarts
 	agg.Recovered += o.Recovered
 	agg.Degraded += o.Degraded

@@ -266,9 +266,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	outcome = breakerSuccess
 	s.rec.AddSolve(align.SolveSample(stats))
 
-	bestIdx, bestScore := book.BestQuadForm(q)
-	sess.topk = book.TopKQuadFormInto(q, req.TopK, sess.topk)
+	// One codebook scoring pass feeds the best pick, the top k and
+	// their reported scores.
 	scores := book.QuadFormScoresInto(q, sess.scores)
+	bestIdx, bestScore := antenna.BestScore(scores)
+	sess.topk = antenna.TopKScoresInto(scores, req.TopK, sess.topk)
 
 	resp := estimateResponse{
 		Estimate: estimateSummary{

@@ -197,14 +197,14 @@ func (l *Lease) Discard() {
 }
 
 // Pool hands out session leases, one exclusive owner per session at a
-// time. Sessions are recycled through per-spec sync.Pools (so idle
-// sessions are GC-reclaimable under memory pressure) while codebooks —
-// immutable and internally pooled — are cached permanently per
-// geometry.
+// time. Sessions are recycled through per-spec free lists that keep at
+// most maxIdle idle sessions each, while codebooks — immutable and
+// internally pooled — are cached permanently per geometry.
 type Pool struct {
-	mu    sync.Mutex
-	books map[string]*antenna.Codebook
-	free  map[string]*specPool
+	mu      sync.Mutex
+	books   map[string]*antenna.Codebook
+	free    map[string]*specPool
+	maxIdle int
 
 	created   atomic.Int64
 	leases    atomic.Int64
@@ -214,42 +214,58 @@ type Pool struct {
 
 // specPool recycles sessions of one spec: a deterministic single-slot
 // hot cache (the last released session is always the next leased — the
-// warm-workspace fast path) in front of a sync.Pool overflow, so burst
-// concurrency still recycles while idle excess stays GC-reclaimable.
+// warm-workspace fast path) in front of a bounded overflow list, so
+// burst concurrency still recycles. The overflow is a plain slice, not a
+// sync.Pool: a sync.Pool is emptied by every GC, which made steady
+// concurrent traffic rebuild sessions (and their solver arenas) after
+// each collection. With the pool's bound at the server's execution
+// slots, one spec can never hold more idle sessions than requests that
+// could lease them at once.
 type specPool struct {
 	mu       sync.Mutex
 	hot      *Session
-	overflow sync.Pool
+	overflow []*Session
+	max      int // bound on len(overflow)
 }
 
 func (f *specPool) get() *Session {
 	f.mu.Lock()
-	s := f.hot
-	f.hot = nil
-	f.mu.Unlock()
-	if s != nil {
+	defer f.mu.Unlock()
+	if s := f.hot; s != nil {
+		f.hot = nil
 		return s
 	}
-	s, _ = f.overflow.Get().(*Session)
+	n := len(f.overflow)
+	if n == 0 {
+		return nil
+	}
+	s := f.overflow[n-1]
+	f.overflow[n-1] = nil
+	f.overflow = f.overflow[:n-1]
 	return s
 }
 
 func (f *specPool) put(s *Session) {
 	f.mu.Lock()
-	if f.hot == nil {
+	defer f.mu.Unlock()
+	switch {
+	case f.hot == nil:
 		f.hot = s
-		f.mu.Unlock()
-		return
+	case len(f.overflow) < f.max:
+		f.overflow = append(f.overflow, s)
 	}
-	f.mu.Unlock()
-	f.overflow.Put(s)
+	// Beyond the bound the session is dropped for the GC.
 }
 
-// NewPool creates an empty session pool.
-func NewPool() *Pool {
+// NewPool creates an empty session pool that keeps at most maxIdle idle
+// sessions per spec (at least one). The server passes its
+// MaxConcurrent, the most sessions of one spec that can be leased at
+// once.
+func NewPool(maxIdle int) *Pool {
 	return &Pool{
-		books: make(map[string]*antenna.Codebook),
-		free:  make(map[string]*specPool),
+		books:   make(map[string]*antenna.Codebook),
+		free:    make(map[string]*specPool),
+		maxIdle: max(maxIdle, 1),
 	}
 }
 
@@ -296,7 +312,7 @@ func (p *Pool) freeFor(key string) *specPool {
 	defer p.mu.Unlock()
 	f, ok := p.free[key]
 	if !ok {
-		f = &specPool{}
+		f = &specPool{max: p.maxIdle - 1}
 		p.free[key] = f
 	}
 	return f

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,7 +34,7 @@ func testObservations(s *Session, peak int) []covest.Observation {
 }
 
 func TestLeaseExclusiveUnderHammer(t *testing.T) {
-	pool := NewPool()
+	pool := NewPool(4)
 	spec := smallSpec()
 
 	// owners tracks which goroutine currently owns each session; a CAS
@@ -87,7 +88,7 @@ func TestLeaseExclusiveUnderHammer(t *testing.T) {
 }
 
 func TestLeaseUseAfterReleasePanics(t *testing.T) {
-	pool := NewPool()
+	pool := NewPool(4)
 	lease, err := pool.Lease(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestLeaseUseAfterReleasePanics(t *testing.T) {
 }
 
 func TestLeaseDoubleReleasePanics(t *testing.T) {
-	pool := NewPool()
+	pool := NewPool(4)
 	lease, err := pool.Lease(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestLeaseDoubleReleasePanics(t *testing.T) {
 }
 
 func TestDiscardDropsSession(t *testing.T) {
-	pool := NewPool()
+	pool := NewPool(4)
 	lease, err := pool.Lease(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +167,11 @@ func TestCrossRequestStateLeakage(t *testing.T) {
 	}
 
 	// Reference: a fresh pool solves peak=1 with no history.
-	wantQ, wantStats := estimate(NewPool(), 1)
+	wantQ, wantStats := estimate(NewPool(4), 1)
 
 	// Reused: the same pool first solves peak=3 (poisoning the arenas
 	// with unrelated iterates), then peak=1 on the recycled session.
-	pool := NewPool()
+	pool := NewPool(4)
 	estimate(pool, 3)
 	gotQ, gotStats := estimate(pool, 1)
 	if created := pool.Stats().Created; created != 1 {
@@ -193,7 +194,7 @@ func TestCrossRequestStateLeakage(t *testing.T) {
 }
 
 func TestLeaseResetClearsScratch(t *testing.T) {
-	pool := NewPool()
+	pool := NewPool(4)
 	lease, err := pool.Lease(smallSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +227,7 @@ func TestLeaseResetClearsScratch(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	pool := NewPool()
+	pool := NewPool(4)
 	bad := []EstimatorSpec{
 		{PanelX: -1, PanelZ: 1, BeamsAz: 1, BeamsEl: 1, Gamma: 1, Mu: 1, MaxIters: 1},
 		{PanelX: 1, PanelZ: 1, BeamsAz: -1, BeamsEl: 1, Gamma: 1, Mu: 1, MaxIters: 1},
@@ -254,7 +255,7 @@ func TestSpecKeySeparatesConfigurations(t *testing.T) {
 	if a.bookKey() != b.bookKey() {
 		t.Error("specs with identical geometry should share a codebook key")
 	}
-	pool := NewPool()
+	pool := NewPool(4)
 	la, err := pool.Lease(a)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +277,7 @@ func TestSpecKeySeparatesConfigurations(t *testing.T) {
 func TestConcurrentDistinctSpecs(t *testing.T) {
 	// Sessions of different specs must be independent: hammer two specs
 	// concurrently and let the race detector check for shared state.
-	pool := NewPool()
+	pool := NewPool(4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -312,5 +313,60 @@ func TestPoolStatsString(t *testing.T) {
 	want := "{Created:1 Leases:2 Active:3 Discarded:4}"
 	if got != want {
 		t.Errorf("PoolStats layout changed: %s, want %s", got, want)
+	}
+}
+
+// TestPoolReuseSurvivesGC pins that idle sessions outlive a garbage
+// collection. Two concurrent leases put one session in the hot slot
+// and one in the overflow list; after runtime.GC, leasing two again
+// must reuse both. A sync.Pool overflow lost the second session to
+// every GC, so steady concurrent traffic kept rebuilding sessions.
+func TestPoolReuseSurvivesGC(t *testing.T) {
+	pool := NewPool(4)
+	spec := smallSpec()
+	leaseTwo := func() {
+		a, err := pool.Lease(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := pool.Lease(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Release()
+		b.Release()
+	}
+	leaseTwo()
+	if got := pool.Stats().Created; got != 2 {
+		t.Fatalf("created %d sessions for two concurrent leases, want 2", got)
+	}
+	// Two collections: a sync.Pool keeps its items through one GC in
+	// its victim cache and drops them on the second.
+	runtime.GC()
+	runtime.GC()
+	leaseTwo()
+	if got := pool.Stats().Created; got != 2 {
+		t.Errorf("created %d sessions after GC, want 2 (idle sessions were dropped)", got)
+	}
+}
+
+// TestPoolIdleBound pins that a spec keeps at most maxIdle idle
+// sessions: releasing more than that many drops the excess.
+func TestPoolIdleBound(t *testing.T) {
+	pool := NewPool(2)
+	spec := smallSpec()
+	var leases []*Lease
+	for i := 0; i < 5; i++ {
+		l, err := pool.Lease(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases = append(leases, l)
+	}
+	for _, l := range leases {
+		l.Release()
+	}
+	if f := pool.freeFor(spec.WithDefaults().key()); len(f.overflow)+1 != 2 || f.hot == nil {
+		t.Fatalf("idle sessions: hot %v, overflow %d, want 1 + 1", f.hot != nil, len(f.overflow))
 	}
 }

@@ -176,7 +176,7 @@ func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		pool:    NewPool(),
+		pool:    NewPool(cfg.MaxConcurrent),
 		rec:     cfg.Recorder,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		drained: make(chan struct{}),
