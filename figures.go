@@ -62,9 +62,9 @@ type RunSolverStats struct {
 	// Estimations is the number of covariance solves.
 	Estimations int64
 	// Iters totals proximal steps across all solves; EigenDecomps,
-	// EigenIters, ObjectiveEvals, GradientEvals, Backtracks, LambdaMadds
-	// and GradientMadds total the per-solve cost counters, and Restarts
-	// the divergence-forced momentum restarts.
+	// EigenIters, ObjectiveEvals, GradientEvals, Backtracks, LambdaMadds,
+	// GradientMadds and SetupMadds total the per-solve cost counters,
+	// and Restarts the divergence-forced momentum restarts.
 	Iters          int64
 	EigenDecomps   int64
 	EigenIters     int64
@@ -73,6 +73,7 @@ type RunSolverStats struct {
 	Backtracks     int64
 	LambdaMadds    int64
 	GradientMadds  int64
+	SetupMadds     int64
 	Restarts       int64
 	// Recovered and Degraded count solves that ended through a solver
 	// guardrail.

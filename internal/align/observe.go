@@ -19,6 +19,7 @@ func SolveSample(st covest.Stats) obs.SolveSample {
 		Backtracks:     st.Backtracks,
 		LambdaMadds:    st.LambdaMadds,
 		GradientMadds:  st.GradientMadds,
+		SetupMadds:     st.SetupMadds,
 		Restarts:       st.Diagnostics.DivergenceRestarts,
 		Rank:           st.Rank,
 		SubspaceDim:    st.SubspaceDim,

@@ -134,7 +134,10 @@ func EstimateFixture() (*covest.Estimator, []covest.Observation) {
 // BenchEstimate measures one full regularized ML covariance estimation,
 // the per-TX-slot cost of the proposed scheme. Reported metrics:
 // objective (final penalized NLL), iters, eig_decomps and eigen_iters
-// (implicit-QL iterations, the exact eigensolve work) per call.
+// (implicit-QL iterations, the exact eigensolve work) per call. The
+// estimator is Reset before every call: it carries its measurement
+// subspace across calls, and repeating the same observations would
+// otherwise measure only the solve, without its subspace setup.
 func BenchEstimate(b *testing.B) {
 	est, obs := EstimateFixture()
 	b.ReportAllocs()
@@ -142,6 +145,7 @@ func BenchEstimate(b *testing.B) {
 	var stats covest.Stats
 	for i := 0; i < b.N; i++ {
 		var err error
+		est.Reset()
 		_, stats, err = est.Estimate(obs, nil)
 		if err != nil {
 			b.Fatal(err)

@@ -112,7 +112,10 @@ func (s *eigenSorter) Less(i, j int) bool { return s.vals[s.idx[i]] > s.vals[s.i
 func (s *eigenSorter) Swap(i, j int)      { s.idx[i], s.idx[j] = s.idx[j], s.idx[i] }
 
 // NewEigenWorkspace returns a workspace pre-sized for n×n inputs. The
-// workspace transparently resizes if handed a different dimension.
+// workspace transparently resizes if handed a different dimension: any
+// dimension up to the largest it has held reuses its storage, so a
+// workspace created at the largest size a caller decomposes never
+// allocates again.
 func NewEigenWorkspace(n int) *EigenWorkspace {
 	ws := &EigenWorkspace{}
 	ws.resize(n)
@@ -121,6 +124,24 @@ func NewEigenWorkspace(n int) *EigenWorkspace {
 
 func (ws *EigenWorkspace) resize(n int) {
 	ws.n = n
+	if ws.w != nil && n <= cap(ws.hinv) {
+		// Every buffer is fully written by the decomposition before it
+		// is read, so shrinking or regrowing within capacity only
+		// reslices.
+		ws.w.Reshape(n, n)
+		ws.hinv = ws.hinv[:n]
+		ws.phase = ws.phase[:n]
+		ws.d = ws.d[:n]
+		ws.e = ws.e[:n]
+		ws.scratch = ws.scratch[:n]
+		ws.scratch2 = ws.scratch2[:n]
+		ws.scratch3 = ws.scratch3[:n]
+		ws.idx = ws.idx[:n]
+		ws.sorter = eigenSorter{vals: ws.d, idx: ws.idx}
+		ws.sortedVals = ws.sortedVals[:n]
+		ws.sortedVecs.Reshape(n, n)
+		return
+	}
 	ws.w = New(n, n)
 	ws.hinv = make([]float64, n)
 	ws.phase = make([]complex128, n)

@@ -525,3 +525,37 @@ func eigRank(t *testing.T, m *Matrix, tol float64) int {
 	}
 	return n
 }
+
+// TestEigenWorkspaceReusesStorageAcrossSizes decomposes matrices of
+// shrinking and regrowing size on one workspace: every result must equal
+// a fresh workspace's bit for bit, and sizes up to the largest held
+// must allocate nothing.
+func TestEigenWorkspaceReusesStorageAcrossSizes(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	ws := NewEigenWorkspace(0)
+	for _, n := range []int{24, 8, 17, 1, 24, 3} {
+		a := randHermitian(r, n)
+		got, err := ws.EigHermitian(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEigenWorkspace(n).EigHermitian(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+				t.Fatalf("n=%d: value %d = %v, fresh workspace %v", n, i, got.Values[i], want.Values[i])
+			}
+			for j := 0; j < n; j++ {
+				if !bitEqualComplex(got.Vectors.At(i, j), want.Vectors.At(i, j)) {
+					t.Fatalf("n=%d: vector entry (%d,%d) = %v, fresh workspace %v", n, i, j, got.Vectors.At(i, j), want.Vectors.At(i, j))
+				}
+			}
+		}
+	}
+	small := randHermitian(r, 11)
+	if allocs := testing.AllocsPerRun(5, func() { ws.EigHermitian(small) }); allocs != 0 {
+		t.Fatalf("decomposing below the held size allocates %v, want 0", allocs)
+	}
+}

@@ -97,6 +97,22 @@ func (m *Matrix) Col(j int) Vector {
 	return out
 }
 
+// RowView returns row i of m as a Vector over m's own storage: writes
+// through it change m, and a later Reshape reinterprets it. Unlike Row
+// it copies nothing.
+func (m *Matrix) RowView(i int) Vector {
+	m.checkIndex(i, 0)
+	return Vector(m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols])
+}
+
+// Raw returns m's whole storage, every entry its capacity holds, as a
+// Vector over that storage. Entries beyond Rows()·Cols() are whatever a
+// larger shape last left there; callers that keep data across Reshape
+// calls (moving it between row strides) address it through Raw.
+func (m *Matrix) Raw() Vector {
+	return Vector(m.data[:cap(m.data)])
+}
+
 // SetCol overwrites column j with v. Panics if len(v) != Rows().
 func (m *Matrix) SetCol(j int, v Vector) {
 	if len(v) != m.rows {

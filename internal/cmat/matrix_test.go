@@ -255,3 +255,20 @@ func TestMatrixStringSmoke(t *testing.T) {
 		t.Error("String returned empty output")
 	}
 }
+
+func TestRowViewAndRawShareStorage(t *testing.T) {
+	m := New(3, 4)
+	m.RowView(1)[2] = 5
+	if m.At(1, 2) != 5 {
+		t.Fatalf("write through RowView not seen: At(1,2) = %v", m.At(1, 2))
+	}
+	m.Reshape(2, 3)
+	raw := m.Raw()
+	if len(raw) != 12 || raw[6] != 5 {
+		t.Fatalf("Raw has %d entries, raw[6] = %v; want the 12 stored entries with the old (1,2) at 6", len(raw), raw[6])
+	}
+	raw[4] = 7
+	if m.At(1, 1) != 7 {
+		t.Fatalf("write through Raw not seen at the reshaped (1,1): %v", m.At(1, 1))
+	}
+}

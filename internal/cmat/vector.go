@@ -92,6 +92,14 @@ func (v Vector) AddScaledInPlace(alpha complex128, w Vector) {
 	}
 }
 
+// ScaleInPlace multiplies v by a in place, entry values bitwise
+// identical to v.Scale(a). The allocation-free counterpart of Scale.
+func (v Vector) ScaleInPlace(a complex128) {
+	for i := range v {
+		v[i] = a * v[i]
+	}
+}
+
 // Zero sets every entry of v to zero in place.
 func (v Vector) Zero() {
 	for i := range v {

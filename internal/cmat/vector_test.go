@@ -175,3 +175,17 @@ func TestVectorConj(t *testing.T) {
 		t.Errorf("Conj = %v, want %v", got, want)
 	}
 }
+
+func TestScaleInPlaceMatchesScale(t *testing.T) {
+	v := Vector{complex(1.5, -2), complex(-0.0, 3), complex(7e-300, 0), complex(-1, -1e300)}
+	for _, a := range []complex128{complex(0.3, 0), complex(-2, 0.5), 0} {
+		want := v.Scale(a)
+		got := v.Clone()
+		got.ScaleInPlace(a)
+		for i := range v {
+			if !bitEqualComplex(got[i], want[i]) {
+				t.Fatalf("a=%v: entry %d = %v, Scale gives %v", a, i, got[i], want[i])
+			}
+		}
+	}
+}

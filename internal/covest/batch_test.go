@@ -20,14 +20,16 @@ func randBatchFixture(t *testing.T, seed int64, dim, l int) (*Estimator, *solver
 	if err != nil {
 		t.Fatal(err)
 	}
-	wk := est.work(dim)
-	vs := wk.vsFor(l)
+	wk := est.work()
+	wk.shape(dim, l)
+	vs := make([]cmat.Vector, l)
 	for j := range vs {
+		vs[j] = cmat.NewVector(dim)
 		for i := range vs[j] {
 			vs[j][i] = complex(r.NormFloat64(), r.NormFloat64())
 		}
+		wk.vmat.SetCol(j, vs[j])
 	}
-	wk.packV(vs)
 	raw := cmat.New(dim, dim)
 	for i := 0; i < dim; i++ {
 		for j := 0; j < dim; j++ {
@@ -96,7 +98,7 @@ func TestBatchedObjectiveMatchesScalarBitwise(t *testing.T) {
 }
 
 func TestLambdaCacheInvalidation(t *testing.T) {
-	est, wk, _, q, _ := randBatchFixture(t, 31, 8, 12)
+	est, wk, vs, q, _ := randBatchFixture(t, 31, 8, 12)
 	first := est.lambdasFor(q, wk, &Stats{})
 	v0 := first[0]
 	// Memoized: same matrix pointer returns the cached slice without
@@ -116,7 +118,7 @@ func TestLambdaCacheInvalidation(t *testing.T) {
 		t.Fatal("λ not recomputed after cache invalidation")
 	}
 	// Sanity: recomputed value matches the scalar path.
-	if want := flooredLambda(est.opts.Gamma, q.QuadForm(wk.vs[0])); second[0] != want {
+	if want := flooredLambda(est.opts.Gamma, q.QuadForm(vs[0])); second[0] != want {
 		t.Fatalf("λ[0] after invalidation = %v, want %v", second[0], want)
 	}
 }

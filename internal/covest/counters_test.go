@@ -34,4 +34,25 @@ func TestCostCountersOnEstimateFixture(t *testing.T) {
 	if dense := st.ObjectiveEvals * dim * dim * l; st.LambdaMadds*5 > dense {
 		t.Errorf("LambdaMadds = %d, not 5× below the dense %d", st.LambdaMadds, dense)
 	}
+
+	// The setup of a fresh estimator: Gram-Schmidt over 56 distinct
+	// beams (Σ_k 4·64·k = 394240), the reduction (56·56·64 = 200704)
+	// and the lift of the 30 positive eigenvalues of the final iterate
+	// (30·(56·64 + 64·65/2) = 169920). Repeating the same observations
+	// reuses the carried subspace, so only the lift remains.
+	const wantSetup, wantLift = 764864, 169920
+	if st.SetupMadds != wantSetup {
+		t.Errorf("SetupMadds = %d, want %d", st.SetupMadds, wantSetup)
+	}
+	_, again, err := est.Estimate(obs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.SetupMadds != wantLift {
+		t.Errorf("repeated call: SetupMadds = %d, want the lift's %d", again.SetupMadds, wantLift)
+	}
+	est.Reset()
+	if _, afterReset, err := est.Estimate(obs, nil); err != nil || afterReset.SetupMadds != wantSetup {
+		t.Errorf("after Reset: SetupMadds = %d (err %v), want %d", afterReset.SetupMadds, err, wantSetup)
+	}
 }

@@ -214,6 +214,7 @@ func (m *Manifest) Validate() error {
 		{"objective_evals", s.ObjectiveEvals},
 		{"gradient_evals", s.GradientEvals}, {"backtracks", s.Backtracks},
 		{"lambda_madds", s.LambdaMadds}, {"gradient_madds", s.GradientMadds},
+		{"setup_madds", s.SetupMadds},
 		{"restarts", s.Restarts}, {"recovered", s.Recovered}, {"degraded", s.Degraded},
 	} {
 		if c.v < 0 {

@@ -96,10 +96,10 @@ func (c *Counter) Value() int64 {
 // flattened so this package does not depend on the solver.
 type SolveSample struct {
 	// Iters, EigenDecomps, EigenIters, ObjectiveEvals, GradientEvals,
-	// Backtracks, LambdaMadds and GradientMadds mirror the covest.Stats
-	// counters of one Estimate call.
+	// Backtracks, LambdaMadds, GradientMadds and SetupMadds mirror the
+	// covest.Stats counters of one Estimate call.
 	Iters, EigenDecomps, EigenIters, ObjectiveEvals, GradientEvals, Backtracks int
-	LambdaMadds, GradientMadds                                                 int
+	LambdaMadds, GradientMadds, SetupMadds                                     int
 	// Restarts is the number of divergence-forced momentum restarts.
 	Restarts int
 	// Rank and SubspaceDim describe the returned estimate.
@@ -125,9 +125,12 @@ type SolverStats struct {
 	Backtracks     int64 `json:"backtracks"`
 	// LambdaMadds and GradientMadds total the complex multiply-adds of
 	// the λ products and the gradient assemblies: exact work counts
-	// that depend only on the matrices involved.
+	// that depend only on the matrices involved. SetupMadds totals
+	// those of the work around each solve (Gram-Schmidt, beam
+	// reduction, warm projection, lift), counting only work done.
 	LambdaMadds   int64 `json:"lambda_madds"`
 	GradientMadds int64 `json:"gradient_madds"`
+	SetupMadds    int64 `json:"setup_madds"`
 	// Restarts totals divergence-forced momentum restarts.
 	Restarts int64 `json:"restarts"`
 	// Recovered and Degraded count solves that ended through a
@@ -255,6 +258,7 @@ func (r *Recorder) AddSolve(s SolveSample) {
 	agg.Backtracks += int64(s.Backtracks)
 	agg.LambdaMadds += int64(s.LambdaMadds)
 	agg.GradientMadds += int64(s.GradientMadds)
+	agg.SetupMadds += int64(s.SetupMadds)
 	agg.Restarts += int64(s.Restarts)
 	if s.Recovered {
 		agg.Recovered++
@@ -288,6 +292,7 @@ func (r *Recorder) AddSolverStats(o SolverStats) {
 	agg.Backtracks += o.Backtracks
 	agg.LambdaMadds += o.LambdaMadds
 	agg.GradientMadds += o.GradientMadds
+	agg.SetupMadds += o.SetupMadds
 	agg.Restarts += o.Restarts
 	agg.Recovered += o.Recovered
 	agg.Degraded += o.Degraded

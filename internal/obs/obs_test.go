@@ -227,6 +227,7 @@ func TestManifestValidateRejectsBadDocuments(t *testing.T) {
 		"negative counter":           func(m *Manifest) { m.Counters["measurements"] = -2 },
 		"negative solver":            func(m *Manifest) { m.Solver.Iters = -1 },
 		"negative eigen iters":       func(m *Manifest) { m.Solver.EigenIters = -1 },
+		"negative setup madds":       func(m *Manifest) { m.Solver.SetupMadds = -1 },
 		"failures exceed total": func(m *Manifest) {
 			m.Failures = &FailureSummary{FailedDrops: 5, TotalDrops: 3}
 		},
@@ -303,9 +304,9 @@ func TestSnapshotWriteText(t *testing.T) {
 // second recorder's solver totals in equals adding its solves directly.
 func TestAddSolverStatsMatchesAddSolve(t *testing.T) {
 	samples := []SolveSample{
-		{Iters: 3, EigenDecomps: 4, EigenIters: 90, Backtracks: 1, Rank: 2, SubspaceDim: 8},
-		{Iters: 5, EigenDecomps: 6, EigenIters: 140, Restarts: 1, Recovered: true, Degraded: true, Rank: 1, SubspaceDim: 12},
-		{Iters: 1, EigenDecomps: 2, EigenIters: 7, ObjectiveEvals: 2, GradientEvals: 1},
+		{Iters: 3, EigenDecomps: 4, EigenIters: 90, Backtracks: 1, Rank: 2, SubspaceDim: 8, SetupMadds: 1000},
+		{Iters: 5, EigenDecomps: 6, EigenIters: 140, Restarts: 1, Recovered: true, Degraded: true, Rank: 1, SubspaceDim: 12, SetupMadds: 200},
+		{Iters: 1, EigenDecomps: 2, EigenIters: 7, ObjectiveEvals: 2, GradientEvals: 1, SetupMadds: 30},
 	}
 	direct, outer, inner := New(), New(), New()
 	for i, s := range samples {
@@ -322,6 +323,9 @@ func TestAddSolverStatsMatchesAddSolve(t *testing.T) {
 	}
 	if got := direct.Snapshot().Solver.EigenIters; got != 237 {
 		t.Errorf("EigenIters total = %d, want 237", got)
+	}
+	if got := direct.Snapshot().Solver.SetupMadds; got != 1230 {
+		t.Errorf("SetupMadds total = %d, want 1230", got)
 	}
 	var nilRec *Recorder
 	nilRec.AddSolverStats(SolverStats{Estimations: 1})

@@ -109,6 +109,10 @@ type picks struct {
 type solverSummary struct {
 	Iters          int `json:"iters"`
 	EigenDecomps   int `json:"eigen_decomps"`
+	EigenIters     int `json:"eigen_iters"`
+	LambdaMadds    int `json:"lambda_madds"`
+	GradientMadds  int `json:"gradient_madds"`
+	SetupMadds     int `json:"setup_madds"`
 	ObjectiveEvals int `json:"objective_evals"`
 	GradientEvals  int `json:"gradient_evals"`
 	Backtracks     int `json:"backtracks"`
@@ -290,6 +294,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		Solver: solverSummary{
 			Iters:          stats.Iters,
 			EigenDecomps:   stats.EigenDecomps,
+			EigenIters:     stats.EigenIters,
+			LambdaMadds:    stats.LambdaMadds,
+			GradientMadds:  stats.GradientMadds,
+			SetupMadds:     stats.SetupMadds,
 			ObjectiveEvals: stats.ObjectiveEvals,
 			GradientEvals:  stats.GradientEvals,
 			Backtracks:     stats.Backtracks,

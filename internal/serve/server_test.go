@@ -859,6 +859,13 @@ func TestStatszSolverTotals(t *testing.T) {
 		want.Estimations++
 		want.Iters += int64(resp.Solver.Iters)
 		want.EigenDecomps += int64(resp.Solver.EigenDecomps)
+		want.EigenIters += int64(resp.Solver.EigenIters)
+		want.LambdaMadds += int64(resp.Solver.LambdaMadds)
+		want.GradientMadds += int64(resp.Solver.GradientMadds)
+		want.SetupMadds += int64(resp.Solver.SetupMadds)
+		if resp.Solver.EigenIters == 0 || resp.Solver.GradientMadds == 0 || resp.Solver.SetupMadds == 0 {
+			t.Errorf("estimate %d: solver block missing counters: %+v", i, resp.Solver)
+		}
 	}
 	var req map[string]any
 	if err := json.Unmarshal(alignBody(3), &req); err != nil {
@@ -883,6 +890,10 @@ func TestStatszSolverTotals(t *testing.T) {
 	want.Estimations += aresp.Telemetry.Solver.Estimations
 	want.Iters += aresp.Telemetry.Solver.Iters
 	want.EigenDecomps += aresp.Telemetry.Solver.EigenDecomps
+	want.EigenIters += aresp.Telemetry.Solver.EigenIters
+	want.LambdaMadds += aresp.Telemetry.Solver.LambdaMadds
+	want.GradientMadds += aresp.Telemetry.Solver.GradientMadds
+	want.SetupMadds += aresp.Telemetry.Solver.SetupMadds
 
 	resp, err := http.Get(ts.URL + "/statsz")
 	if err != nil {
@@ -894,12 +905,10 @@ func TestStatszSolverTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := stats.Solver
-	if got.Estimations != want.Estimations || got.Iters != want.Iters || got.EigenDecomps != want.EigenDecomps {
-		t.Errorf("statsz solver = %+v, want estimations %d, iters %d, eigen_decomps %d",
-			got, want.Estimations, want.Iters, want.EigenDecomps)
-	}
-	if got.EigenIters < aresp.Telemetry.Solver.EigenIters || got.EigenIters == 0 {
-		t.Errorf("statsz eigen_iters = %d, align alone ran %d", got.EigenIters, aresp.Telemetry.Solver.EigenIters)
+	if got.Estimations != want.Estimations || got.Iters != want.Iters || got.EigenDecomps != want.EigenDecomps ||
+		got.EigenIters != want.EigenIters || got.LambdaMadds != want.LambdaMadds ||
+		got.GradientMadds != want.GradientMadds || got.SetupMadds != want.SetupMadds {
+		t.Errorf("statsz solver = %+v, want the responses' totals %+v", got, want)
 	}
 }
 

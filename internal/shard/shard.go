@@ -27,14 +27,15 @@
 //	                              │ ▲
 //	             mtime older than TTL (holder dead or wedged)
 //	                              ▼ │
-//	                     removed + re-claimed by a stealer
+//	             set aside (renamed to a tombstone) + re-claimed
 //
 // A claimed lease is kept alive by its holder refreshing the file
 // mtime (heartbeat) every TTL/3; a SIGKILLed worker stops heartbeating
 // and its leases go stale after TTL, at which point survivors steal
-// them. Exactly one stealer wins the O_EXCL re-claim; the remove/
-// re-create window can, rarely, let two workers compute the same cell
-// — accepted per the purity argument above. Done-marking happens only
+// them. Exactly one claimant wins the O_EXCL re-claim and counts the
+// steal by removing the tombstone; the set-aside/re-create window can,
+// rarely, let two workers compute the same cell — accepted per the
+// purity argument above. Done-marking happens only
 // after the cell is fsynced to the worker's journal, so a done lease
 // always has journal bytes behind it; the converse kill window
 // (journaled but not done-marked) surfaces as a stolen, recomputed,
@@ -297,8 +298,25 @@ func readLease(path string) leaseInfo {
 	return li
 }
 
+// staleSuffix names the tombstone a stale lease is renamed to when a
+// stealer sets it aside: lease path + staleSuffix.
+const staleSuffix = ".stale"
+
+// testHookStaleSetAside, when non-nil, runs right after tryClaim sets a
+// stale lease aside and before it re-creates the lease, so tests can
+// let another worker claim the cell in that window.
+var testHookStaleSetAside func(lease string)
+
 // tryClaim attempts to take the lease for cell c: fresh claim on an
 // absent lease, steal on a stale one. stolen reports a steal.
+//
+// A stealer renames the stale lease to a tombstone instead of deleting
+// it, and whoever wins the O_EXCL re-create removes the tombstone:
+// exactly one remove succeeds, so the takeover is counted once, by the
+// worker that computes the cell. That holds when another worker's
+// first-attempt claim lands between the set-aside and the stealer's
+// re-create — counting "attempt > 0" instead would count that steal
+// nowhere.
 func (w *Worker) tryClaim(c journal.CellKey) (status claimStatus, stolen bool, err error) {
 	lp := leasePath(w.Dir, c)
 	host, _ := os.Hostname()
@@ -309,7 +327,7 @@ func (w *Worker) tryClaim(c journal.CellKey) (status claimStatus, stolen bool, e
 	for attempt := 0; attempt < 2; attempt++ {
 		switch err := createExclusive(lp, content); {
 		case err == nil:
-			return claimAcquired, attempt > 0, nil
+			return claimAcquired, os.Remove(lp+staleSuffix) == nil, nil
 		case !errors.Is(err, fs.ErrExist):
 			return 0, false, fmt.Errorf("shard: claiming %s: %w", lp, err)
 		}
@@ -328,13 +346,16 @@ func (w *Worker) tryClaim(c journal.CellKey) (status claimStatus, stolen bool, e
 			return claimHeld, false, nil
 		}
 		// Stale: the holder stopped heartbeating TTL ago — dead or
-		// wedged. Remove and re-claim; O_EXCL arbitration means exactly
-		// one stealer wins the re-create, and the rare remove/re-create
-		// interleaving that double-computes a cell is harmless (cells
-		// are pure, duplicates merge byte-identically).
+		// wedged. Set it aside and re-claim; O_EXCL arbitration means
+		// exactly one claimant wins the re-create, and the rare
+		// set-aside/re-create interleaving that double-computes a cell
+		// is harmless (cells are pure, duplicates merge
+		// byte-identically).
 		w.logf("stealing stale lease for drop %d scheme %s (held by %s pid %d, idle %s)",
 			c.Drop, c.Scheme, li.Worker, li.PID, time.Since(st.ModTime()).Round(time.Millisecond))
-		os.Remove(lp)
+		if os.Rename(lp, lp+staleSuffix) == nil && testHookStaleSetAside != nil {
+			testHookStaleSetAside(lp)
+		}
 	}
 	return claimHeld, false, nil
 }
