@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"mmwalign/internal/cmat"
 	"mmwalign/internal/covest"
@@ -22,9 +23,10 @@ import (
 // to one link: strategies sharing a WarmState must not run
 // concurrently.
 type WarmState struct {
-	// Q is the carried-over estimate; nil until the first alignment
-	// completes with a usable estimate.
-	Q *cmat.Matrix
+	// Q is the carried-over estimate, as its factor; nil until the first
+	// alignment completes with a usable estimate. The estimator never
+	// writes a factor it has returned, so Q is shared, not copied.
+	Q *covest.Factor
 }
 
 // ProposedConfig configures the paper's learning-based strategy.
@@ -76,7 +78,34 @@ type ProposedStrategy struct {
 	// warm-start variant constructed by ForScheme reports
 	// "proposed-warm" so figures can show both behaviors side by side).
 	name string
+	est  estimatorSlot
 }
+
+// estimatorSlot keeps one idle covariance estimator between a
+// strategy's runs, so the realignments of a scenario cell, which all
+// run through one strategy, reuse its workspace instead of regrowing a
+// new one per alignment. A run takes the idle estimator, or builds one
+// when there is none (a concurrent run on a shared strategy), and gives
+// it back when done; a slot holds at most one.
+type estimatorSlot struct {
+	idle atomic.Pointer[covest.Estimator]
+}
+
+// take returns an estimator for n antennas with opts that answers
+// exactly as a new one would: the idle one reconfigured (which resets
+// it), or a new one.
+func (s *estimatorSlot) take(n int, opts covest.Options) (*covest.Estimator, error) {
+	if est := s.idle.Swap(nil); est != nil && est.Antennas() == n {
+		if err := est.Reconfigure(opts); err != nil {
+			return nil, err
+		}
+		return est, nil
+	}
+	return covest.NewEstimator(n, opts)
+}
+
+// put makes est the idle estimator.
+func (s *estimatorSlot) put(est *covest.Estimator) { s.idle.Store(est) }
 
 // NewProposed creates the strategy with the given configuration.
 func NewProposed(cfg ProposedConfig) *ProposedStrategy {
@@ -115,10 +144,12 @@ func (s *ProposedStrategy) Run(ctx context.Context, env *Env, budget int) ([]mea
 	if opts.Gamma == 0 {
 		opts.Gamma = env.Sounder.Gamma()
 	}
-	est, err := covest.NewEstimator(env.RXBook.Array().Elements(), opts)
+	n := env.RXBook.Array().Elements()
+	est, err := s.est.take(n, opts)
 	if err != nil {
 		return nil, fmt.Errorf("align: proposed: %w", err)
 	}
+	defer s.est.put(est)
 	muSelected := len(s.cfg.AutoMuGrid) == 0
 
 	nRX := env.RXBook.Size()
@@ -126,7 +157,7 @@ func (s *ProposedStrategy) Run(ctx context.Context, env *Env, budget int) ([]mea
 	scr := &selectScratch{}
 	var out []meas.Measurement
 	var obs []covest.Observation
-	var qhat *cmat.Matrix
+	var qhat *covest.Factor
 	if s.cfg.Warm != nil {
 		// Seed from the previous alignment's estimate (nil on a cold
 		// start) and carry whatever this run learned back out on every
@@ -134,8 +165,8 @@ func (s *ProposedStrategy) Run(ctx context.Context, env *Env, budget int) ([]mea
 		// last good estimate is still the best knowledge of the link.
 		qhat = s.cfg.Warm.Q
 		defer func() {
-			if qhat != nil && qhat != s.cfg.Warm.Q {
-				s.cfg.Warm.Q = qhat.Clone()
+			if qhat != nil {
+				s.cfg.Warm.Q = qhat
 			}
 		}()
 	}
@@ -191,14 +222,13 @@ func (s *ProposedStrategy) Run(ctx context.Context, env *Env, budget int) ([]mea
 		// tune the regularizer for a different problem.
 		if !muSelected && len(obs) >= 4*s.cfg.J {
 			muSpan := estPhase.Start()
-			mu, muErr := covest.SelectMu(env.RXBook.Array().Elements(), win, opts, s.cfg.AutoMuGrid)
+			mu, muErr := covest.SelectMu(n, win, opts, s.cfg.AutoMuGrid)
 			muSpan.End()
 			if muErr == nil {
 				rec.Counter("mu_selections").Add(1)
 				opts.Mu = mu
-				if est2, e2 := covest.NewEstimator(env.RXBook.Array().Elements(), opts); e2 == nil {
-					est = est2
-				}
+				// Only γ can fail Reconfigure, and est already holds it.
+				_ = est.Reconfigure(opts)
 			} else {
 				// On selection failure keep the configured µ; the search
 				// continues with its default regularization.
@@ -207,7 +237,7 @@ func (s *ProposedStrategy) Run(ctx context.Context, env *Env, budget int) ([]mea
 			muSelected = true
 		}
 		estSpan := estPhase.Start()
-		q, stats, estErr := est.EstimateContext(ctx, win, qhat)
+		q, stats, estErr := est.EstimateFactor(ctx, win, qhat)
 		estSpan.End()
 		rec.AddSolve(SolveSample(stats))
 		switch {
@@ -277,18 +307,18 @@ type scoredBeam struct {
 
 // selectScratch carries the reusable buffers for one run's selectBeams
 // calls: the whole-codebook score vector and the candidate list. It
-// lives in Run rather than on the strategy so ProposedStrategy
-// stays stateless and safe to share across concurrent experiment cells.
+// lives in Run rather than on the strategy so ProposedStrategy stays
+// safe to share across concurrent experiment cells.
 //
 // all is keyed on the estimate it scores (allFor). Phase 3 of one slot
 // and phase 1 of the next select under the same Q̂ (paper Algorithm 1,
 // steps 3(a) and 3(b)), so the second call reuses the vector instead of
 // rescoring the codebook. The key is a pointer: every estimate is a
-// fresh matrix that is never written in place, and the cached pointer
+// fresh factor that is never written in place, and the cached pointer
 // keeps it alive, so an equal pointer means equal contents.
 type selectScratch struct {
 	all    []float64
-	allFor *cmat.Matrix
+	allFor *covest.Factor
 	scored []scoredBeam
 }
 
@@ -298,12 +328,10 @@ type selectScratch struct {
 // never preferred by index order — an all-zero Q̂ (common in early slots,
 // when the regularizer has thresholded everything away) must behave like
 // the paper's "random for the very first TX slot" rule, not like a
-// deterministic sweep of beam 0, 1, 2, …. Scoring batches the whole
-// codebook through one GEMM (Codebook.QuadFormScoresInto), which is
-// bitwise identical to the per-beam QuadForm it replaces, and runs once
-// per estimate (see selectScratch); the selection logic below is
-// untouched so fixed-seed trajectories do not move.
-func (s *ProposedStrategy) selectBeams(env *Env, qhat *cmat.Matrix, avail []int, k int, scr *selectScratch) []int {
+// deterministic sweep of beam 0, 1, 2, …. Scoring reads the factor of
+// Q̂, Σ_k s_k·|u_kᴴ·v|², for the whole codebook through one k×N GEMM
+// (Codebook.FactorScoresInto), once per estimate (see selectScratch).
+func (s *ProposedStrategy) selectBeams(env *Env, qhat *covest.Factor, avail []int, k int, scr *selectScratch) []int {
 	if k > len(avail) {
 		k = len(avail)
 	}
@@ -328,7 +356,7 @@ func (s *ProposedStrategy) selectBeams(env *Env, qhat *cmat.Matrix, avail []int,
 	}
 	all := scr.all[:env.RXBook.Size()]
 	if scr.allFor != qhat {
-		env.RXBook.QuadFormScoresInto(qhat, all)
+		env.RXBook.FactorScoresInto(qhat.UH, qhat.S, all)
 		scr.allFor = qhat
 	}
 

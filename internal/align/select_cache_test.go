@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mmwalign/internal/cmat"
+	"mmwalign/internal/covest"
 )
 
 // TestSelectBeamsScoreCacheMatchesRescoring pins the per-estimate score
@@ -19,20 +20,19 @@ func TestSelectBeamsScoreCacheMatchesRescoring(t *testing.T) {
 	s := NewProposed(ProposedConfig{})
 	n := cached.RXBook.Array().Elements()
 	r := rand.New(rand.NewSource(9))
-	randPSD := func(rank int) *cmat.Matrix {
-		q := cmat.New(n, n)
+	randPSD := func(rank int) *covest.Factor {
+		f := &covest.Factor{UH: cmat.New(rank, n), S: make([]float64, rank)}
 		for k := 0; k < rank; k++ {
-			v := cmat.NewVector(n)
-			for i := range v {
-				v[i] = complex(r.NormFloat64(), r.NormFloat64())
+			for x := 0; x < n; x++ {
+				f.UH.Set(k, x, complex(r.NormFloat64(), r.NormFloat64()))
 			}
-			q.AddScaledOuter(complex(r.Float64()+0.1, 0), v)
+			f.S[k] = r.Float64() + 0.1
 		}
-		return q
+		return f
 	}
 	q1, q2, q3 := randPSD(1), randPSD(3), randPSD(2)
-	zero := cmat.New(n, n)
-	seq := []*cmat.Matrix{q1, q1, q2, q2, q2, zero, zero, nil, q1, q3, q3}
+	zero := randPSD(0)
+	seq := []*covest.Factor{q1, q1, q2, q2, q2, zero, zero, nil, q1, q3, q3}
 
 	scr := &selectScratch{}
 	size := cached.RXBook.Size()

@@ -25,6 +25,7 @@ import (
 // leaves as future work, included here for the extension benches.
 type TwoSidedStrategy struct {
 	cfg ProposedConfig
+	est estimatorSlot
 }
 
 // NewTwoSided creates the strategy; cfg carries the same knobs as the
@@ -53,10 +54,11 @@ func (s *TwoSidedStrategy) Run(ctx context.Context, env *Env, budget int) ([]mea
 	if opts.Gamma == 0 {
 		opts.Gamma = env.Sounder.Gamma()
 	}
-	est, err := covest.NewEstimator(env.RXBook.Array().Elements(), opts)
+	est, err := s.est.take(env.RXBook.Array().Elements(), opts)
 	if err != nil {
 		return nil, fmt.Errorf("align: two-sided: %w", err)
 	}
+	defer s.est.put(est)
 
 	nTX, nRX := env.TXBook.Size(), env.RXBook.Size()
 	measured := make(map[Pair]bool, budget)
@@ -66,7 +68,7 @@ func (s *TwoSidedStrategy) Run(ctx context.Context, env *Env, budget int) ([]mea
 
 	var out []meas.Measurement
 	var obs []covest.Observation
-	var qhat *cmat.Matrix
+	var qhat *covest.Factor
 	// Reuse the proposed scheme's RX selection logic.
 	rxSel := &ProposedStrategy{cfg: s.cfg}
 	scr := &selectScratch{}
@@ -122,7 +124,7 @@ func (s *TwoSidedStrategy) Run(ctx context.Context, env *Env, budget int) ([]mea
 				win = obs[len(obs)-s.cfg.Window:]
 			}
 			estSpan := estPhase.Start()
-			q, stats, estErr := est.EstimateContext(ctx, win, qhat)
+			q, stats, estErr := est.EstimateFactor(ctx, win, qhat)
 			estSpan.End()
 			rec.AddSolve(SolveSample(stats))
 			switch {

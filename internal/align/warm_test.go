@@ -9,7 +9,7 @@ import (
 
 // The warm-start variant must carry its covariance estimate across
 // successive Run calls: nil before the first alignment, populated
-// after, and the stored matrix must be an independent copy so later
+// after, and the stored factor must never be written again, so later
 // runs cannot corrupt an estimate a caller is still reading.
 func TestProposedWarmCarriesEstimate(t *testing.T) {
 	env := testEnv(t, 11, 1, false)
@@ -44,8 +44,8 @@ func TestProposedWarmCarriesEstimate(t *testing.T) {
 	}
 
 	// A second alignment on the same link must seed from q1 and store a
-	// fresh copy, never mutate q1 in place.
-	q1Copy := q1.Clone()
+	// fresh factor, never mutate q1 in place.
+	uhCopy, sCopy := q1.UH.Clone(), append([]float64(nil), q1.S...)
 	if _, err := st.Run(context.Background(), env, 48); err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,12 @@ func TestProposedWarmCarriesEstimate(t *testing.T) {
 	if q2 == q1 {
 		t.Fatal("second alignment did not refresh WarmState.Q")
 	}
-	for i := 0; i < q1.Rows(); i++ {
-		for j := 0; j < q1.Cols(); j++ {
-			if q1.At(i, j) != q1Copy.At(i, j) {
-				t.Fatalf("first estimate mutated at (%d,%d) by second run", i, j)
-			}
+	if !q1.UH.Equal(uhCopy) || len(q1.S) != len(sCopy) {
+		t.Fatal("first estimate's factor mutated by second run")
+	}
+	for k := range sCopy {
+		if q1.S[k] != sCopy[k] {
+			t.Fatalf("first estimate's weight %d mutated by second run", k)
 		}
 	}
 }

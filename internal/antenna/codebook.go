@@ -174,8 +174,8 @@ func (c *Codebook) SnakeOrder() []int {
 }
 
 // scoreSpace is a pooled workspace for one batched scoring pass: the
-// Q·W product buffer, the columnwise-dot accumulator, and a scratch
-// score vector for the selection methods.
+// Q·W (or Uᴴ·W) product buffer, the columnwise-dot accumulator, and a
+// scratch score vector for the selection methods.
 //
 // A scoreSpace is single-owner between getScoreSpace and putScoreSpace;
 // the leased flag is the debug assertion enforcing that (a double put
@@ -246,6 +246,7 @@ func (c *Codebook) scoresInto(q *cmat.Matrix, ws *scoreSpace, dst []float64) {
 	if q.Rows() != w.Rows() || q.Cols() != w.Rows() {
 		panic(fmt.Sprintf("antenna: codebook scoring matrix %dx%d, want %dx%d", q.Rows(), q.Cols(), w.Rows(), w.Rows()))
 	}
+	ws.qw.Reshape(w.Rows(), w.Cols())
 	ws.qw.MulInto(q, w)
 	cmat.ColumnDotsInto(ws.dots, w, ws.qw)
 	for i, d := range ws.dots {
@@ -270,6 +271,40 @@ func (c *Codebook) QuadFormScoresInto(q *cmat.Matrix, dst []float64) []float64 {
 	defer c.putScoreSpace(ws)
 	c.scoresInto(q, ws, dst)
 	return dst
+}
+
+// FactorScoresInto writes wᵢᴴ·Q·wᵢ = Σ_k s[k]·|u_kᴴ·wᵢ|² for every beam
+// i into dst, which must have length Size(), for Q = Σ_k s[k]·u_k·u_kᴴ
+// held as its factor: row k of uh is u_kᴴ. One k×N by N×M GEMM X = uh·W
+// gives the inner products, and each score sums s[k]·|X_ki|² in
+// ascending k. It returns the complex multiply-adds of the GEMM, k·N·M,
+// where the dense QuadFormScoresInto costs N²·M. Panics unless uh is
+// k×N with k ≤ N and s holds at least k weights. Safe for concurrent
+// use.
+func (c *Codebook) FactorScoresInto(uh *cmat.Matrix, s []float64, dst []float64) int {
+	if len(dst) != len(c.beams) {
+		panic(fmt.Sprintf("antenna: FactorScoresInto dst length %d, want %d", len(dst), len(c.beams)))
+	}
+	clear(dst)
+	if len(c.beams) == 0 {
+		return 0
+	}
+	w := c.packedWeights()
+	k := uh.Rows()
+	if uh.Cols() != w.Rows() || k > w.Rows() || len(s) < k {
+		panic(fmt.Sprintf("antenna: codebook scoring factor %dx%d with %d weights, want at most %d rows of width %d", k, uh.Cols(), len(s), w.Rows(), w.Rows()))
+	}
+	ws := c.getScoreSpace()
+	defer c.putScoreSpace(ws)
+	x := ws.qw
+	x.Reshape(k, w.Cols())
+	x.MulInto(uh, w)
+	for r, sr := range s[:k] {
+		for i, v := range x.RowView(r) {
+			dst[i] += sr * (real(v)*real(v) + imag(v)*imag(v))
+		}
+	}
+	return k * w.Rows() * w.Cols()
 }
 
 // BestScore returns the index of the largest score and its value; the

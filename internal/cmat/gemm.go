@@ -251,3 +251,40 @@ func ColumnDotsInto(dst []complex128, a, b *Matrix) {
 		}
 	}
 }
+
+// LowRankInto writes uhᴴ·diag(s)·uh into dst: the dense form of the
+// Hermitian matrix Σ_k s[k]·u_k·u_kᴴ whose row k of uh is u_kᴴ. Each
+// entry on and above the diagonal accumulates the terms
+// (s[k]·conj(uh[k][x]))·uh[k][y] in ascending k; each lower entry is the
+// conjugate of its mirror and the diagonal is real, so dst is exactly
+// Hermitian. It costs n(n+1)/2 complex multiply-adds per row of uh.
+// Panics on shape mismatch, when s is shorter than uh's row count, or
+// when dst aliases uh.
+func (dst *Matrix) LowRankInto(uh *Matrix, s []float64) {
+	n := uh.cols
+	if dst.rows != n || dst.cols != n {
+		panic(fmt.Sprintf("cmat: LowRankInto shape mismatch %dx%d = (%dx%d)ᴴ · diag · %dx%d",
+			dst.rows, dst.cols, uh.rows, uh.cols, uh.rows, uh.cols))
+	}
+	if len(s) < uh.rows {
+		panic(fmt.Sprintf("cmat: LowRankInto diagonal length %d, want %d", len(s), uh.rows))
+	}
+	if dst == uh {
+		panic("cmat: LowRankInto dst must not alias its operand")
+	}
+	dst.Zero()
+	for k := 0; k < uh.rows; k++ {
+		row := uh.data[k*n : (k+1)*n]
+		sk := s[k]
+		for x, ux := range row {
+			caxpyInto(dst.data[x*n+x:(x+1)*n], row[x:], complex(sk*real(ux), -sk*imag(ux)))
+		}
+	}
+	for x := 0; x < n; x++ {
+		d := &dst.data[x*n+x]
+		*d = complex(real(*d), 0)
+		for y := x + 1; y < n; y++ {
+			dst.data[y*n+x] = cmplx.Conj(dst.data[x*n+y])
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package cmat
 
 import (
+	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -175,3 +176,40 @@ func TestGEMMShapeAndAliasPanics(t *testing.T) {
 }
 
 func conj(z complex128) complex128 { return complex(real(z), -imag(z)) }
+
+// TestLowRankIntoMatchesOuterSum checks the factor-to-dense kernel
+// against the rank-one sum Σ_k s_k·u_k·u_kᴴ it replaces, to rounding,
+// and that its result is exactly Hermitian with a real diagonal.
+func TestLowRankIntoMatchesOuterSum(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 30; trial++ {
+		n, k := 1+r.Intn(20), r.Intn(5)
+		uh := New(k, n)
+		s := make([]float64, k)
+		ref := New(n, n)
+		for i := 0; i < k; i++ {
+			u := NewVector(n)
+			for x := range u {
+				u[x] = complex(r.NormFloat64(), r.NormFloat64())
+				uh.Set(i, x, cmplx.Conj(u[x]))
+			}
+			s[i] = r.Float64() * 10
+			ref.AddScaledOuter(complex(s[i], 0), u)
+		}
+		got := New(n, n)
+		got.LowRankInto(uh, s)
+		for x := 0; x < n; x++ {
+			if imag(got.At(x, x)) != 0 {
+				t.Fatalf("trial %d: diagonal (%d,%d) = %v, not real", trial, x, x, got.At(x, x))
+			}
+			for y := 0; y < n; y++ {
+				if got.At(y, x) != cmplx.Conj(got.At(x, y)) {
+					t.Fatalf("trial %d: (%d,%d) is not the conjugate of its mirror", trial, y, x)
+				}
+				if d := cmplx.Abs(got.At(x, y) - ref.At(x, y)); d > 1e-12*(1+cmplx.Abs(ref.At(x, y))) {
+					t.Fatalf("trial %d: (%d,%d) = %v, outer sum %v", trial, x, y, got.At(x, y), ref.At(x, y))
+				}
+			}
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package covest_test
 
 import (
+	"context"
 	"testing"
 
 	"mmwalign/internal/benchsuite"
+	"mmwalign/internal/covest"
 )
 
 // TestCostCountersOnEstimateFixture pins the exact multiply-add
@@ -36,11 +38,12 @@ func TestCostCountersOnEstimateFixture(t *testing.T) {
 	}
 
 	// The setup of a fresh estimator: Gram-Schmidt over 56 distinct
-	// beams (Σ_k 4·64·k = 394240), the reduction (56·56·64 = 200704)
-	// and the lift of the 30 positive eigenvalues of the final iterate
-	// (30·(56·64 + 64·65/2) = 169920). Repeating the same observations
-	// reuses the carried subspace, so only the lift remains.
-	const wantSetup, wantLift = 764864, 169920
+	// beams (Σ_k 4·64·k = 394240), the reduction (56·56·64 = 200704),
+	// the lift of the rank-3 factor the last prox step kept
+	// (3·56·64 = 10752) and Estimate's dense result (3·64·65/2 = 6240).
+	// Repeating the same observations reuses the carried subspace, so
+	// only the lift and the dense result remain.
+	const wantSetup, wantLift = 611936, 16992
 	if st.SetupMadds != wantSetup {
 		t.Errorf("SetupMadds = %d, want %d", st.SetupMadds, wantSetup)
 	}
@@ -49,10 +52,26 @@ func TestCostCountersOnEstimateFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	if again.SetupMadds != wantLift {
-		t.Errorf("repeated call: SetupMadds = %d, want the lift's %d", again.SetupMadds, wantLift)
+		t.Errorf("repeated call: SetupMadds = %d, want the lift and dense result's %d", again.SetupMadds, wantLift)
 	}
 	est.Reset()
 	if _, afterReset, err := est.Estimate(obs, nil); err != nil || afterReset.SetupMadds != wantSetup {
 		t.Errorf("after Reset: SetupMadds = %d (err %v), want %d", afterReset.SetupMadds, err, wantSetup)
+	}
+}
+
+// TestFactorMatchesFullLiftOnEstimateFixture holds the canonical
+// estimate's factor to the lift of every positive eigenpair of its final
+// iterate (see LiftFidelity): 3 eigenpairs carry it, where the final
+// iterate has 30 positive eigenvalues.
+func TestFactorMatchesFullLiftOnEstimateFixture(t *testing.T) {
+	est, obs := benchsuite.EstimateFixture()
+	f, st, err := est.EstimateFactor(context.Background(), obs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := covest.LiftFidelity(t, est, obs, f)
+	if len(f.S) != 3 || st.Rank != 3 || left != 27 {
+		t.Errorf("factor of %d eigenpairs (rank %d), %d positive eigenvalues left out; want 3, 3 and 27", len(f.S), st.Rank, left)
 	}
 }

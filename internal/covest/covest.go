@@ -231,7 +231,9 @@ type Stats struct {
 	Rank int
 	// EigenDecomps counts the Hermitian eigendecompositions the solver
 	// ran: one per proximal step (including rejected backtracking
-	// trials) plus one to lift the reduced estimate.
+	// trials), plus one for a final iterate that no accepted prox step
+	// produced (whose factor must be found), plus one for a dense warm
+	// start handed to Estimate (whose factor must be found too).
 	EigenDecomps int
 	// EigenIters totals the implicit-QL iterations of those
 	// eigendecompositions: their exact cost, which depends only on the
@@ -257,15 +259,54 @@ type Stats struct {
 	// SetupMadds totals the complex multiply-adds of the work around
 	// the solve, counting only work actually done: Gram-Schmidt (4·n·k
 	// per beam projected against k basis vectors), the beam reduction
-	// (n per reduced entry), the warm-start projection (n²·dim +
-	// n·dim²) and the lift (kept·dim·n + n(n+1)/2·kept for kept positive
-	// eigenvalues). The subspace an estimator carries across calls
+	// (n per reduced entry), the warm-start projection of a rank-k
+	// factor (k·n·dim + dim(dim+1)/2·k), the lift of the rank-k result
+	// (k·dim·n), and, for Estimate's dense result only, its formation
+	// (n(n+1)/2·k). The subspace an estimator carries across calls
 	// makes it depend on the previous call's observations, not only on
 	// this call's.
 	SetupMadds int
 	// Diagnostics records how the solve terminated and whether any
 	// guardrail fired.
 	Diagnostics SolveDiagnostics
+}
+
+// Factor is a positive semidefinite N×N matrix held as its nonzero
+// eigenpairs, Q = Σ_k S[k]·c_k·c_kᴴ with orthonormal c_k: the form of
+// the estimator's result. The nuclear-norm prox keeps 1–3 eigenpairs
+// of a 64-antenna estimate, so the factor is k×N where the dense matrix
+// is N×N. Because the c_k are orthonormal, S is Q's nonzero spectrum.
+// The estimator never writes a Factor it has returned.
+type Factor struct {
+	// UH is k×N; row k is c_kᴴ, so the n×k matrix U is UHᴴ.
+	UH *cmat.Matrix
+	// S holds the eigenvalues, in descending order.
+	S []float64
+}
+
+// Trace returns tr(Q) = Σ_k S[k], which on the PSD cone is ‖Q‖_*.
+func (f *Factor) Trace() float64 {
+	var t float64
+	for _, v := range f.S {
+		t += v
+	}
+	return t
+}
+
+// Top returns Q's largest eigenvalue, 0 for the zero matrix.
+func (f *Factor) Top() float64 {
+	if len(f.S) == 0 {
+		return 0
+	}
+	return f.S[0]
+}
+
+// Dense returns Q as an N×N matrix, at N(N+1)/2 complex multiply-adds
+// per eigenpair.
+func (f *Factor) Dense() *cmat.Matrix {
+	q := cmat.New(f.UH.Cols(), f.UH.Cols())
+	q.LowRankInto(f.UH, f.S)
+	return q
 }
 
 // Estimator estimates the N×N receive spatial covariance from energy
@@ -294,6 +335,29 @@ type Estimator struct {
 	busy atomic.Bool
 }
 
+// Antennas returns N, the receiver size the estimator was built for.
+func (e *Estimator) Antennas() int { return e.n }
+
+// Reconfigure resets the estimator (see Reset) and replaces its
+// options, so it answers every later call exactly as NewEstimator(n,
+// opts) would while keeping its workspace storage: the way to reuse one
+// estimator across alignments whose γ differs. It returns
+// NewEstimator's error for invalid options and leaves the estimator
+// unchanged then.
+func (e *Estimator) Reconfigure(opts Options) error {
+	opts = opts.withDefaults()
+	if opts.Gamma <= 0 {
+		return fmt.Errorf("covest: gamma %g must be positive", opts.Gamma)
+	}
+	if e.wk != nil && e.wk.fista != opts.Accelerated {
+		// The FISTA buffers exist only in an accelerated workspace.
+		e.wk = nil
+	}
+	e.opts = opts
+	e.Reset()
+	return nil
+}
+
 // Reset clears all cross-call solver state: the carried measurement
 // subspace, the λ memoization and factor tags, and every workspace
 // buffer over its whole storage. Reset is not needed for correctness
@@ -310,6 +374,7 @@ func (e *Estimator) Reset() {
 	wk := e.wk
 	wk.lamFor = nil
 	wk.factorFor = nil
+	wk.accFor = nil
 	wk.nb, wk.nobs = 0, 0
 	// Zero whole storage, not just the current shapes, and drop the
 	// references to the previous owner's beams.
@@ -318,11 +383,12 @@ func (e *Estimator) Reset() {
 		m.Reshape(wk.sq, wk.sq)
 		m.Zero()
 	}
-	for _, m := range [...]*cmat.Matrix{wk.basis, wk.t, wk.vmat, wk.qv} {
+	for _, m := range [...]*cmat.Matrix{wk.basis, wk.vmat, wk.qv, wk.acc, wk.lifted} {
 		clear(m.Raw())
 	}
 	clear(wk.s)
-	clear(wk.liftD[:cap(wk.liftD)])
+	clear(wk.accS[:cap(wk.accS)])
+	clear(wk.liftS[:cap(wk.liftS)])
 	clear(wk.beams[:cap(wk.beams)])
 	clear(wk.beamAt[:cap(wk.beamAt)])
 	clear(wk.carried[:cap(wk.carried)])
@@ -392,15 +458,22 @@ type solverWork struct {
 	beamAt  []*complex128
 	carried []carriedObs
 
-	// t (N×sq storage) holds the warm projection's W·Bᵀ and the lift's
-	// lifted columns.
-	t     *cmat.Matrix
-	liftD []complex128 // positive eigenvalues of the final iterate, for the lift
+	// acc (kept×dim) and accS hold the factor of the accepted iterate
+	// tagged by accFor: a copy of the prox eigenpairs it was accepted
+	// with, which later prox steps do not overwrite. Before the loop
+	// acc holds the warm projection's uh·B. lifted (kept×N) and liftS
+	// hold the lifted result, or before the loop a dense warm start's
+	// factor. All four grow only when a larger factor arrives.
+	acc    *cmat.Matrix
+	accS   []float64
+	accFor *cmat.Matrix
+	lifted *cmat.Matrix
+	liftS  []float64
 
 	energies []float64    // observation energies
 	lcap     int          // observation capacity of vmat and qv
 	vmat     *cmat.Matrix // packed reduced beams, dim×L, column j = ṽ_j
-	qv       *cmat.Matrix // product buffer, sq×max(lcap, N) storage: Q·V, Uᴴ·V reshaped kept×L, or Bᵀ for the warm projection
+	qv       *cmat.Matrix // product buffer, sq×lcap storage: Q·V, or Uᴴ·V reshaped kept×L
 	colDots  []complex128 // columnwise dots diag(VᴴQV)
 	lambdas  []float64    // λ_j(Q) for the matrix tagged by lamFor
 	coefs    []complex128 // gradient coefficients c_j
@@ -427,8 +500,8 @@ type carriedObs struct {
 	basis   int // basis size once it was processed
 }
 
-// noteWrite invalidates the cached λ vector and the prox factor when
-// the matrix they describe is about to be overwritten.
+// noteWrite invalidates the cached λ vector and the factors when the
+// matrix they describe is about to be overwritten.
 func (wk *solverWork) noteWrite(m *cmat.Matrix) {
 	if wk.lamFor == m {
 		wk.lamFor = nil
@@ -436,13 +509,39 @@ func (wk *solverWork) noteWrite(m *cmat.Matrix) {
 	if wk.factorFor == m {
 		wk.factorFor = nil
 	}
+	if wk.accFor == m {
+		wk.accFor = nil
+	}
+}
+
+// keepFactor copies the last prox step's kept eigenpairs, which
+// describe the candidate just accepted, into acc and tags them for m:
+// the accepted iterate itself (ISTA) or FISTA's copy of it in best.
+// Unlike the prox buffers, the copy outlives later trials.
+func (wk *solverWork) keepFactor(m *cmat.Matrix) {
+	kept := wk.uh.Rows()
+	wk.acc = fit(wk.acc, kept, wk.dim)
+	copy(wk.acc.Raw(), wk.uh.Raw()[:kept*wk.dim])
+	wk.accS = resized(wk.accS, kept, 0)
+	copy(wk.accS, wk.s)
+	wk.accFor = m
+}
+
+// fit returns m reshaped to rows×cols, or a new matrix when m is nil or
+// its storage is too small.
+func fit(m *cmat.Matrix, rows, cols int) *cmat.Matrix {
+	if m == nil || rows*cols > len(m.Raw()) {
+		return cmat.New(rows, cols)
+	}
+	m.Reshape(rows, cols)
+	return m
 }
 
 // work returns the estimator's workspace, creating it empty on first
 // use; shape and subspace size it.
 func (e *Estimator) work() *solverWork {
 	if e.wk == nil {
-		e.wk = &solverWork{n: e.n, fista: e.opts.Accelerated, eig: cmat.NewEigenWorkspace(0), basis: cmat.New(0, e.n), vmat: cmat.New(0, 0)}
+		e.wk = &solverWork{n: e.n, fista: e.opts.Accelerated, eig: cmat.NewEigenWorkspace(0), basis: cmat.New(0, e.n), vmat: cmat.New(0, 0), acc: cmat.New(0, 0), lifted: cmat.New(0, 0)}
 		e.wk.growSquare(0)
 		e.wk.growPack()
 	}
@@ -488,6 +587,7 @@ func (wk *solverWork) shape(dim, l int) {
 	wk.coefs = wk.coefs[:l]
 	wk.lamFor = nil
 	wk.factorFor = nil
+	wk.accFor = nil
 }
 
 // growSquare reallocates the buffers sized by the working dimension
@@ -501,17 +601,15 @@ func (wk *solverWork) growSquare(dim int) {
 		wk.extr, wk.best, wk.diff = cmat.New(dim, dim), cmat.New(dim, dim), cmat.New(dim, dim)
 	}
 	wk.s = make([]float64, dim)
-	wk.liftD = make([]complex128, 0, dim)
-	wk.t = cmat.New(wk.n, dim)
 }
 
-// growPack reallocates vmat with storage for sq×lcap, carrying its
-// stored entries over in storage order (the carried reductions, see
-// subspace), and qv with room for sq×lcap and for Bᵀ.
+// growPack reallocates vmat and qv with storage for sq×lcap, carrying
+// vmat's stored entries over in storage order (the carried reductions,
+// see subspace).
 func (wk *solverWork) growPack() {
 	vmat := cmat.New(wk.sq, wk.lcap)
 	copy(vmat.Raw(), wk.vmat.Raw())
-	wk.vmat, wk.qv = vmat, cmat.New(wk.sq, max(wk.lcap, wk.n))
+	wk.vmat, wk.qv = vmat, cmat.New(wk.sq, wk.lcap)
 }
 
 // resized returns buf with length n, keeping its first keep entries
@@ -710,19 +808,6 @@ func axpyConj(u cmat.Vector, alpha complex128, c cmat.Vector) {
 	}
 }
 
-// fillBasisT writes Bᵀ (N×dim, column i = b_i) into qv's storage and
-// returns it.
-func (wk *solverWork) fillBasisT() *cmat.Matrix {
-	bt := wk.qv
-	bt.Reshape(wk.n, wk.dim)
-	for i := 0; i < wk.dim; i++ {
-		for x, cx := range wk.basis.RowView(i) {
-			bt.Set(x, i, cmplx.Conj(cx))
-		}
-	}
-	return bt
-}
-
 // NewEstimator creates an estimator for an N-antenna receiver. Returns
 // an error if n or the configured Gamma is not positive.
 func NewEstimator(n int, opts Options) (*Estimator, error) {
@@ -780,36 +865,73 @@ func (e *Estimator) Estimate(obs []Observation, warm *cmat.Matrix) (*cmat.Matrix
 // context's error, with Stats.Diagnostics marking the early stop
 // (StopCancelled). The returned matrix is valid and PSD whenever it is
 // non-nil, even when err is non-nil.
+//
+// It is EstimateFactor for callers that want the dense N×N matrix: a
+// dense warm start is decomposed into its positive eigenpairs first,
+// and the factored result is formed densely at the end.
 func (e *Estimator) EstimateContext(ctx context.Context, obs []Observation, warm *cmat.Matrix) (*cmat.Matrix, Stats, error) {
+	e.acquire()
+	defer e.busy.Store(false)
+	uh, s, stats, err := e.estimate(ctx, obs, nil, warm)
+	if uh == nil {
+		return nil, stats, err
+	}
+	stats.SetupMadds += e.n * (e.n + 1) / 2 * len(s)
+	return (&Factor{UH: uh, S: s}).Dense(), stats, err
+}
+
+// EstimateFactor is EstimateContext with the estimate in factored form,
+// both ways: warm, if non-nil, seeds the solver with a previous
+// factored estimate (one whose width is not N is ignored, like a dense
+// warm start of the wrong size), and the result is the factor the
+// solver's last accepted prox step produced, lifted to the ambient
+// space. It never forms an N×N matrix.
+func (e *Estimator) EstimateFactor(ctx context.Context, obs []Observation, warm *Factor) (*Factor, Stats, error) {
+	e.acquire()
+	defer e.busy.Store(false)
+	uh, s, stats, err := e.estimate(ctx, obs, warm, nil)
+	if uh == nil {
+		return nil, stats, err
+	}
+	return &Factor{UH: uh.Clone(), S: append([]float64(nil), s...)}, stats, err
+}
+
+// acquire is the single-owner assertion: it marks the estimator busy
+// and panics when another call already holds it. The caller clears busy
+// once it has read the workspace's result.
+func (e *Estimator) acquire() {
 	if !e.busy.CompareAndSwap(false, true) {
 		panic("covest: concurrent Estimate on a shared Estimator (single-owner workspace)")
 	}
-	defer e.busy.Store(false)
+}
+
+// estimate validates the call and runs the solve; the result's factor
+// is in workspace storage, nil when the solve produced none.
+func (e *Estimator) estimate(ctx context.Context, obs []Observation, warm *Factor, dense *cmat.Matrix) (*cmat.Matrix, []float64, Stats, error) {
 	if len(obs) == 0 {
-		return nil, Stats{}, ErrNoObservations
+		return nil, nil, Stats{}, ErrNoObservations
 	}
 	for i, o := range obs {
 		if len(o.V) != e.n {
-			return nil, Stats{}, &ObservationError{Index: i, Dim: len(o.V), Want: e.n}
+			return nil, nil, Stats{}, &ObservationError{Index: i, Dim: len(o.V), Want: e.n}
 		}
 		if o.Energy < 0 || math.IsNaN(o.Energy) || math.IsInf(o.Energy, 0) {
-			return nil, Stats{}, &ObservationError{Index: i, BadEnergy: true, Energy: o.Energy, Want: e.n}
+			return nil, nil, Stats{}, &ObservationError{Index: i, BadEnergy: true, Energy: o.Energy, Want: e.n}
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, Stats{Diagnostics: SolveDiagnostics{Reason: StopCancelled}}, err
+		return nil, nil, Stats{Diagnostics: SolveDiagnostics{Reason: StopCancelled}}, err
 	}
-
-	return e.solve(ctx, obs, warm)
+	return e.solve(ctx, obs, warm, dense)
 }
 
 // solve runs the proximal gradient loop in the measurement subspace
 // (the full space when reduction is disabled, or when no beam has a
-// usable direction). All loop state lives in the estimator's reusable
-// workspace; only the returned estimate is freshly allocated. On
-// cancellation the best finite iterate reached so far is still lifted
-// and returned alongside the context error.
-func (e *Estimator) solve(ctx context.Context, obs []Observation, warm *cmat.Matrix) (*cmat.Matrix, Stats, error) {
+// usable direction) and returns the lifted factor of the result, in
+// workspace storage. All loop state lives in the estimator's reusable
+// workspace. On cancellation the best finite iterate reached so far is
+// still lifted and returned alongside the context error.
+func (e *Estimator) solve(ctx context.Context, obs []Observation, warm *Factor, dense *cmat.Matrix) (*cmat.Matrix, []float64, Stats, error) {
 	wk := e.work()
 	var setup int
 	reduced := !e.opts.DisableReduction
@@ -834,8 +956,28 @@ func (e *Estimator) solve(ctx context.Context, obs []Observation, warm *cmat.Mat
 		wk.energies[j] = o.Energy
 	}
 
-	setup += e.initialInto(wk.cur, warm, reduced, wk)
 	stats := Stats{SubspaceDim: dim}
+	if dense != nil && dense.Rows() == e.n && dense.Cols() == e.n {
+		// A dense warm start enters as its positive eigenpairs, held in
+		// lifted until the final lift.
+		stats.EigenDecomps++
+		eig, err := wk.eig.EigHermitian(dense)
+		stats.EigenIters += wk.eig.Iters()
+		if err != nil {
+			// A poisoned warm start: start from zero, as the loops do
+			// from a start whose objective is not finite.
+			wk.lifted, wk.liftS = fit(wk.lifted, 0, e.n), wk.liftS[:0]
+			stats.Diagnostics.Recovered = true
+		} else {
+			wk.lifted, wk.liftS = positivePart(eig, wk.lifted, wk.liftS)
+		}
+		warm = &Factor{UH: wk.lifted, S: wk.liftS}
+	}
+	if warm != nil && warm.UH.Cols() == e.n {
+		setup += wk.warmInto(wk.cur, warm.UH, warm.S, reduced)
+	} else {
+		e.backProjectInto(wk.cur, wk)
+	}
 	var q *cmat.Matrix
 	var obj float64
 	var err error
@@ -846,77 +988,66 @@ func (e *Estimator) solve(ctx context.Context, obs []Observation, warm *cmat.Mat
 	}
 	stats.SetupMadds = setup
 	if q == nil {
-		return nil, stats, err
+		return nil, nil, stats, err
 	}
 
 	stats.Objective = obj
-	// The final eigendecomposition serves double duty: it lifts the
-	// reduced estimate back to the ambient space (Q = B·Q̃·Bᴴ) and its
-	// eigenvalues give the rank directly — the lift preserves the
-	// spectrum because B is orthonormal, so no second decomposition of
-	// the full-size matrix is needed.
-	stats.EigenDecomps++
-	eig, eigErr := wk.eig.EigHermitian(q)
-	stats.EigenIters += wk.eig.Iters()
-	if eigErr != nil {
-		return nil, stats, fmt.Errorf("covest: decomposing estimate: %w", eigErr)
+	// The result's factor is the one the final iterate was accepted
+	// with. An iterate no accepted prox step produced (the starting
+	// point, or a recovery copy) is decomposed for its positive
+	// eigenpairs instead.
+	if wk.accFor != q {
+		stats.EigenDecomps++
+		eig, eigErr := wk.eig.EigHermitian(q)
+		stats.EigenIters += wk.eig.Iters()
+		if eigErr != nil {
+			return nil, nil, stats, fmt.Errorf("covest: decomposing estimate: %w", eigErr)
+		}
+		wk.acc, wk.accS = positivePart(eig, wk.acc, wk.accS)
 	}
-	var full *cmat.Matrix
+	// B is orthonormal, so the lifted c_k = B·u_k are orthonormal and
+	// the weights are Q̂'s nonzero spectrum.
+	uh := wk.acc
 	if reduced {
-		var madds int
-		full, madds = wk.lift(eig)
-		stats.SetupMadds += madds
-		// The lifted spectrum is the positive part of Q̃'s spectrum.
-		stats.Rank = rankOfPSDSpectrum(eig.Values, 1e-8)
-	} else {
-		full = q.Hermitianize()
-		stats.Rank = rankOfSpectrum(eig.Values, 1e-8)
+		uh = wk.liftFactor()
+		stats.SetupMadds += len(wk.accS) * dim * e.n
 	}
+	stats.Rank = rankOfPSDSpectrum(wk.accS, 1e-8)
 	// err carries the context error of a cancelled solve; the estimate
 	// itself is still the valid best finite iterate.
-	return full, stats, err
+	return uh, wk.accS, stats, err
 }
 
-// lift returns Q = Σ_{λ_k>0} λ_k·c_k·c_kᴴ, c_k = B·v_k, the reduced
-// estimate's positive part in the ambient space, and the complex
-// multiply-adds it spent. The columns c_k come from one GEMM B·V₊,
-// whose per-entry sums run over the basis in order with the same
-// (commuted) products as the column-at-a-time accumulation, and the
-// outer-product sum is the Gram kernel: upper triangle accumulated over
-// k in order, lower triangle the conjugate mirror, which equals the
-// symmetrized accumulation under ==. grad holds V₊: it is never the
-// solver's returned iterate, which eig decomposed; qv and t are free
-// once the loop is done.
-func (wk *solverWork) lift(eig cmat.Eigen) (*cmat.Matrix, int) {
+// positivePart writes the eigenpairs of eig with positive eigenvalues
+// into uh (row k = v_kᴴ, storage grown as needed) and s, and returns
+// them.
+func positivePart(eig cmat.Eigen, uh *cmat.Matrix, s []float64) (*cmat.Matrix, []float64) {
+	kept := 0
+	for kept < len(eig.Values) && eig.Values[kept] > 0 {
+		kept++
+	}
+	uh = fit(uh, kept, eig.Vectors.Rows())
+	for k := 0; k < kept; k++ {
+		row := uh.RowView(k)
+		for i := range row {
+			row[i] = cmplx.Conj(eig.Vectors.At(i, k))
+		}
+	}
+	s = resized(s, kept, 0)
+	copy(s, eig.Values)
+	return uh, s
+}
+
+// liftFactor writes the reduced result's factor acc into the ambient
+// space and returns it: lifted = acc·Bᴴ, whose row k is (B·u_k)ᴴ, as
+// one kept×dim by dim×N GEMM against the stored basis rows.
+func (wk *solverWork) liftFactor() *cmat.Matrix {
 	n, dim := wk.n, wk.dim
-	d := wk.liftD[:0]
-	for _, v := range eig.Values {
-		if v > 0 {
-			d = append(d, complex(v, 0))
-		}
-	}
-	kept := len(d)
-	full := cmat.New(n, n)
-	if kept == 0 {
-		return full, 0
-	}
-	vp := wk.grad
-	vp.Reshape(dim, kept)
-	r := 0
-	for k, v := range eig.Values {
-		if v <= 0 {
-			continue
-		}
-		for i := 0; i < dim; i++ {
-			vp.Set(i, r, eig.Vectors.At(i, k))
-		}
-		r++
-	}
-	c := wk.t
-	c.Reshape(n, kept)
-	c.MulInto(wk.fillBasisT(), vp)
-	full.MulDiagGramInto(c, d)
-	return full, kept*dim*n + n*(n+1)/2*kept
+	wk.lifted = fit(wk.lifted, wk.acc.Rows(), n)
+	wk.basis.Reshape(dim, n)
+	wk.lifted.MulInto(wk.acc, wk.basis)
+	wk.basis.Reshape(wk.brows, n)
+	return wk.lifted
 }
 
 // rankOfPSDSpectrum counts eigenvalues above tol·λ_max among the
@@ -935,28 +1066,6 @@ func rankOfPSDSpectrum(vals []float64, tol float64) int {
 	n := 0
 	for _, v := range vals {
 		if v > cut {
-			n++
-		}
-	}
-	return n
-}
-
-// rankOfSpectrum counts eigenvalues with |λ| above tol·|λ|_max, the
-// numerical rank of a Hermitian matrix from its spectrum.
-func rankOfSpectrum(vals []float64, tol float64) int {
-	var max float64
-	for _, v := range vals {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	cut := tol * max
-	n := 0
-	for _, v := range vals {
-		if math.Abs(v) > cut {
 			n++
 		}
 	}
@@ -1023,6 +1132,7 @@ func (e *Estimator) istaLoop(ctx context.Context, wk *solverWork, ws []float64, 
 				rel := (obj - nextObj) / (math.Abs(obj) + 1)
 				q, wk.nxt = wk.nxt, q
 				wk.cur = q // keep cur/nxt distinct for the next call
+				wk.keepFactor(q)
 				obj = nextObj
 				stats.Iters = it + 1
 				improved = true
@@ -1223,6 +1333,7 @@ func (e *Estimator) fistaLoop(ctx context.Context, wk *solverWork, ws []float64,
 		if obj < bestObj {
 			wk.noteWrite(best)
 			best.CopyFrom(x)
+			wk.keepFactor(best)
 			bestObj = obj
 		}
 		if rel < e.opts.Tol {
@@ -1257,18 +1368,9 @@ func (e *Estimator) proxStepInto(wk *solverWork, base *cmat.Matrix, step float64
 	return nil
 }
 
-// initialInto builds the starting iterate into dst and returns the
-// complex multiply-adds of the warm-start projection: the warm start
-// projected into the working space when available, otherwise a
-// back-projection of the excess energies Σ_j max(w_j−1, 0)/γ · ṽ_j·ṽ_jᴴ / J.
-func (e *Estimator) initialInto(dst, warm *cmat.Matrix, reduced bool, wk *solverWork) int {
-	if warm != nil && warm.Rows() == e.n {
-		if !reduced {
-			dst.HermitianizeFrom(warm)
-			return 0
-		}
-		return wk.projectWarm(dst, warm)
-	}
+// backProjectInto writes the cold starting iterate into dst: the
+// back-projection of the excess energies Σ_j max(w_j−1, 0)/γ · ṽ_j·ṽ_jᴴ / L.
+func (e *Estimator) backProjectInto(dst *cmat.Matrix, wk *solverWork) {
 	dst.Zero()
 	l := wk.vmat.Cols()
 	for j, w := range wk.energies {
@@ -1279,25 +1381,26 @@ func (e *Estimator) initialInto(dst, warm *cmat.Matrix, reduced bool, wk *solver
 		dst.AddScaledOuterCol(complex(excess/float64(l), 0), wk.vmat, j)
 	}
 	dst.HermitianizeInPlace()
-	return 0
 }
 
-// projectWarm writes the Hermitian part of Bᴴ·W·B into dst and returns
-// its complex multiply-adds, as two GEMMs: T = W·Bᵀ (column j = W·b_j),
-// then conj(B)·T with the stored basis rows. Each entry is the same
-// ordered sum, with the same complex products, as the matrix-vector
-// product W·b_j followed by the dot b_iᴴ·(W·b_j). Bᵀ lives in qv, free
-// until the loop's first λ product.
-func (wk *solverWork) projectWarm(dst, warm *cmat.Matrix) int {
-	n, dim := wk.n, wk.dim
-	t := wk.t
-	t.Reshape(n, dim)
-	t.MulInto(warm, wk.fillBasisT())
+// warmInto writes the warm start Bᴴ·Q_w·B of a factored estimate
+// Q_w = Σ_k s_k·c_k·c_kᴴ (row k of uh is c_kᴴ) into dst and returns its
+// complex multiply-adds. With w_k = Bᴴ·c_k it is Σ_k s_k·w_k·w_kᴴ: one
+// k×N by N×dim product uh·B, whose row k is w_kᴴ, into acc (free before
+// the loop), then the Gram form, k·N·dim + dim(dim+1)/2·k in all. In the
+// full space (B = I) only the Gram form remains.
+func (wk *solverWork) warmInto(dst, uh *cmat.Matrix, s []float64, reduced bool) int {
+	n, dim, k := wk.n, wk.dim, uh.Rows()
+	if !reduced {
+		dst.LowRankInto(uh, s)
+		return n * (n + 1) / 2 * k
+	}
+	wk.acc = fit(wk.acc, k, dim)
 	wk.basis.Reshape(dim, n)
-	dst.MulInto(wk.basis, t)
+	wk.acc.MulHermInto(uh, wk.basis)
 	wk.basis.Reshape(wk.brows, n)
-	dst.HermitianizeInPlace()
-	return n*n*dim + dim*n*dim
+	dst.LowRankInto(wk.acc, s)
+	return k*n*dim + dim*(dim+1)/2*k
 }
 
 // lambdaFloor is the shared guardrail under every λ evaluation: λ is

@@ -89,7 +89,9 @@ type estimateSummary struct {
 	// SubspaceDim is the measurement-subspace dimension the solver
 	// worked in.
 	SubspaceDim int `json:"subspace_dim"`
-	// TopEigenvalue is Q̂'s largest eigenvalue (the dominant-path gain).
+	// TopEigenvalue is Q̂'s largest eigenvalue (the dominant-path gain),
+	// read off its factor: the basis is orthonormal, so the factor's
+	// weights are exactly Q̂'s nonzero eigenvalues.
 	TopEigenvalue float64 `json:"top_eigenvalue"`
 	// Objective is the final penalized negative log-likelihood.
 	Objective float64 `json:"objective"`
@@ -250,7 +252,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rec := obs.New()
-	q, stats, err := sess.Estimator().EstimateContext(obs.Into(ctx, rec), sess.obsBuf, nil)
+	q, stats, err := sess.Estimator().EstimateFactor(obs.Into(ctx, rec), sess.obsBuf, nil)
 	if err != nil {
 		done = true
 		lease.Release()
@@ -270,19 +272,20 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	outcome = breakerSuccess
 	s.rec.AddSolve(align.SolveSample(stats))
 
-	// One codebook scoring pass feeds the best pick, the top k and
-	// their reported scores.
-	scores := book.QuadFormScoresInto(q, sess.scores)
+	// One codebook scoring pass over Q̂'s factor feeds the best pick,
+	// the top k and their reported scores.
+	scores := sess.scores
+	book.FactorScoresInto(q.UH, q.S, scores)
 	bestIdx, bestScore := antenna.BestScore(scores)
 	sess.topk = antenna.TopKScoresInto(scores, req.TopK, sess.topk)
 
 	resp := estimateResponse{
 		Estimate: estimateSummary{
 			N:             spec.WithDefaults().PanelX * spec.WithDefaults().PanelZ,
-			Trace:         real(q.Trace()),
+			Trace:         q.Trace(),
 			Rank:          stats.Rank,
 			SubspaceDim:   stats.SubspaceDim,
-			TopEigenvalue: topEigenvalue(scores, bestScore),
+			TopEigenvalue: q.Top(),
 			Objective:     stats.Objective,
 			StopReason:    stats.Diagnostics.Reason.String(),
 			Degraded:      stats.Diagnostics.Degraded(),
@@ -327,20 +330,6 @@ func pickFor(book *antenna.Codebook, idx int, score float64) beamPick {
 		ElDeg: b.Dir.El * 180 / math.Pi,
 		Score: score,
 	}
-}
-
-// topEigenvalue approximates Q̂'s dominant eigenvalue by the largest
-// codebook quadratic form — exact when the dominant eigenvector is a
-// codebook beam, and a tight lower bound otherwise (the quantity beam
-// selection actually maximizes).
-func topEigenvalue(scores []float64, best float64) float64 {
-	top := best
-	for _, v := range scores {
-		if v > top {
-			top = v
-		}
-	}
-	return top
 }
 
 // alignRequest is the POST /v1/align body: a full simulated alignment
