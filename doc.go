@@ -19,8 +19,9 @@
 // single-path and NYC-measurement-derived multipath channels
 // (internal/channel), the sounding model (internal/meas), the covariance
 // estimator (internal/covest),
-// the alignment strategies themselves (internal/align), a slotted MAC
-// and directional cell-search layer (internal/mac), and the harness that
+// the alignment strategies themselves (internal/align), the mobility
+// scenario engine that places them in a slotted MAC (internal/scenario),
+// the 802.15.3c-style control frames (internal/mac), and the harness that
 // regenerates the paper's figures (internal/experiment, cmd/figgen).
 //
 // # Quick start

@@ -2,9 +2,8 @@
 // evaluates on: a single-path channel and a clustered multipath channel
 // with the NYC 28 GHz statistics of Akdeniz et al. (reference [3] of the
 // paper), plus the supporting pieces — RX spatial covariance synthesis,
-// independent per-measurement Rayleigh fading, Gauss-Markov channel
-// aging, and the LOS/NLOS/outage path-loss model used by the MAC-level
-// simulations.
+// independent per-measurement Rayleigh fading and Gauss-Markov channel
+// aging.
 //
 // The physical model is double-directional:
 //
@@ -279,4 +278,16 @@ func (c *Channel) DominantPaths(frac float64) []int {
 
 func abs2(z complex128) float64 {
 	return real(z)*real(z) + imag(z)*imag(z)
+}
+
+// DBToLinear converts decibels to a linear power ratio.
+func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
+
+// LinearToDB converts a linear power ratio to decibels; zero or negative
+// input returns -Inf.
+func LinearToDB(lin float64) float64 {
+	if lin <= 0 {
+		return math.Inf(-1)
+	}
+	return 10 * math.Log10(lin)
 }

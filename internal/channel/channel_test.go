@@ -363,3 +363,21 @@ func TestDominantPaths(t *testing.T) {
 		t.Errorf("DominantPaths = %v, want [0 2]", got)
 	}
 }
+
+func TestDBConversions(t *testing.T) {
+	if got := DBToLinear(10); math.Abs(got-10) > 1e-12 {
+		t.Errorf("DBToLinear(10) = %g", got)
+	}
+	if got := LinearToDB(100); math.Abs(got-20) > 1e-12 {
+		t.Errorf("LinearToDB(100) = %g", got)
+	}
+	if !math.IsInf(LinearToDB(0), -1) {
+		t.Error("LinearToDB(0) should be -Inf")
+	}
+	// Round trip.
+	for _, db := range []float64{-30, -3, 0, 12.5} {
+		if got := LinearToDB(DBToLinear(db)); math.Abs(got-db) > 1e-9 {
+			t.Errorf("round trip %g -> %g", db, got)
+		}
+	}
+}

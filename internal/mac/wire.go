@@ -1,3 +1,16 @@
+// Package mac holds the beam-alignment protocol's control frames: the
+// over-the-air messages in the style of IEEE 802.15.3c's beamforming
+// signaling, which the paper names as the carrier for its feedback
+// ("RX can also transmit some feedback messages as specified in IEEE
+// 802.15.3c, e.g. its best receiving direction, and the quality of the
+// best beam pair"). Frames marshal to a compact big-endian wire format
+// that a radio prototype or a packet trace can exchange as byte slices,
+// and TraceAlignment replays a completed alignment as the frame
+// sequence a BS and UE would put on the air.
+//
+// The slotted MAC context the frames live in (superframes, re-alignment
+// cadence, blockage and effective throughput) is simulated by
+// internal/scenario.
 package mac
 
 import (
@@ -6,15 +19,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// This file implements the over-the-air control frames of the beam
-// alignment protocol in the style of IEEE 802.15.3c's beamforming
-// signaling, which the paper names as the carrier for its feedback
-// ("RX can also transmit some feedback messages as specified in IEEE
-// 802.15.3c, e.g. its best receiving direction, and the quality of the
-// best beam pair"). Frames marshal to a compact big-endian wire format
-// so a MAC simulation — or a real radio prototype — can exchange them
-// as byte slices.
 
 // FrameType discriminates the control frames.
 type FrameType uint8

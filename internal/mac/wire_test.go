@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 
 	"mmwalign/internal/align"
+	"mmwalign/internal/antenna"
+	"mmwalign/internal/channel"
 	"mmwalign/internal/meas"
 	"mmwalign/internal/rng"
 )
@@ -202,21 +204,27 @@ func TestTraceAlignmentSectorMarker(t *testing.T) {
 
 func TestTraceAlignmentEndToEnd(t *testing.T) {
 	// A real strategy run must produce a decodable, well-formed trace.
-	link := smallLink()
-	tx, rx, txBook, rxBook := link.books()
-	_ = tx
-	_ = rx
-	tr, env, err := func() (align.Trajectory, *align.Env, error) {
-		ch, err := link.newChannel(rng.New(91), txBook.Array(), rxBook.Array())
-		if err != nil {
-			return align.Trajectory{}, nil, err
-		}
-		return alignOnce(context.Background(), link, ch, 1, rng.New(92), rng.New(93), 16)
-	}()
+	tx, rx := antenna.NewUPA(2, 2), antenna.NewUPA(4, 4)
+	txBook := antenna.NewGridCodebook(tx, 4, 2, math.Pi, math.Pi/2)
+	rxBook := antenna.NewGridCodebook(rx, 4, 4, math.Pi, math.Pi/2)
+	ch, err := channel.NewSinglePath(rng.New(91), tx, rx, channel.SinglePathSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = env
+	sounder, err := meas.NewSounder(ch, 1, rng.New(92))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sounder.SetSnapshots(4)
+	s, err := align.ForScheme("proposed", rxBook, align.SchemeSpec{J: 4, Gamma: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &align.Env{TXBook: txBook, RXBook: rxBook, Sounder: sounder, Src: rng.New(93)}
+	tr, err := align.EvaluateContext(context.Background(), env, s, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ms := make([]meas.Measurement, 0, 16)
 	// Rebuild a synthetic record from the trajectory length (the runner
 	// does not retain raw measurements), exercising the trace path with

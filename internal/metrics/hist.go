@@ -2,10 +2,8 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram is a fixed-bin histogram over a closed interval; values
@@ -58,31 +56,6 @@ func (h *Histogram) Bin(i int) (count int, lo, hi float64) {
 
 // Bins returns the number of bins.
 func (h *Histogram) Bins() int { return len(h.counts) }
-
-// WriteASCII renders the histogram as horizontal bars.
-func (h *Histogram) WriteASCII(w io.Writer, title string, width int) error {
-	if width < 10 {
-		width = 10
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s (n=%d)\n", title, h.total)
-	max := 0
-	for _, c := range h.counts {
-		if c > max {
-			max = c
-		}
-	}
-	for i := range h.counts {
-		c, lo, hi := h.Bin(i)
-		bar := 0
-		if max > 0 {
-			bar = c * width / max
-		}
-		fmt.Fprintf(&sb, "  [%8.2f, %8.2f) %-*s %d\n", lo, hi, width, strings.Repeat("#", bar), c)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
 
 // ECDF returns the empirical cumulative distribution of xs as a Series:
 // X is the sorted sample, Y the cumulative fraction ≤ X. Non-finite

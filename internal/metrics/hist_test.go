@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -83,21 +82,6 @@ func TestHistogramPanicsOnBadConfig(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestHistogramWriteASCII(t *testing.T) {
-	h := NewHistogram(0, 4, 2)
-	h.Add(1)
-	h.Add(1.5)
-	h.Add(3)
-	var sb strings.Builder
-	if err := h.WriteASCII(&sb, "test", 20); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "test (n=3)") || !strings.Contains(out, "#") {
-		t.Errorf("output:\n%s", out)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package rng provides the deterministic random variates used throughout
-// the beam-alignment simulator: complex circular Gaussians, chi-squared,
-// Poisson, exponential, Laplace and lognormal draws, plus splittable
+// the beam-alignment simulator: complex circular Gaussians, Poisson,
+// Laplace and lognormal draws, plus splittable
 // named sub-streams so that independent parts of an experiment (channel
 // generation, fading, measurement noise, strategy randomness) consume
 // independent randomness and results stay reproducible when one consumer
@@ -102,29 +102,6 @@ func (s *Source) ComplexNormalVec(n int, variance float64) []complex128 {
 // UnitPhase returns e^{iθ} with θ uniform on [0, 2π).
 func (s *Source) UnitPhase() complex128 {
 	return cmplx.Exp(complex(0, 2*math.Pi*s.r.Float64()))
-}
-
-// ChiSquared returns a chi-squared draw with k degrees of freedom
-// (sum of k squared standard normals). Panics if k <= 0.
-func (s *Source) ChiSquared(k int) float64 {
-	if k <= 0 {
-		panic("rng: chi-squared needs k > 0")
-	}
-	var sum float64
-	for i := 0; i < k; i++ {
-		x := s.r.NormFloat64()
-		sum += x * x
-	}
-	return sum
-}
-
-// Exponential returns an Exp(rate) draw with mean 1/rate. Panics if
-// rate <= 0.
-func (s *Source) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: exponential needs rate > 0")
-	}
-	return s.r.ExpFloat64() / rate
 }
 
 // Poisson returns a Poisson(lambda) draw. Uses Knuth's product method,

@@ -145,42 +145,6 @@ func TestUnitPhaseOnCircle(t *testing.T) {
 	}
 }
 
-func TestChiSquaredMoments(t *testing.T) {
-	s := New(14)
-	const n = 100000
-	k := 2
-	var sum, sum2 float64
-	for i := 0; i < n; i++ {
-		x := s.ChiSquared(k)
-		if x < 0 {
-			t.Fatal("negative chi-squared draw")
-		}
-		sum += x
-		sum2 += x * x
-	}
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if math.Abs(mean-float64(k)) > 0.05 {
-		t.Errorf("mean = %g, want %d", mean, k)
-	}
-	if math.Abs(variance-2*float64(k)) > 0.2 {
-		t.Errorf("var = %g, want %d", variance, 2*k)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	s := New(15)
-	const n = 100000
-	rate := 2.5
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.Exponential(rate)
-	}
-	if got, want := sum/n, 1/rate; math.Abs(got-want) > 0.01 {
-		t.Errorf("mean = %g, want %g", got, want)
-	}
-}
-
 func TestPoissonMoments(t *testing.T) {
 	s := New(16)
 	const n = 100000
@@ -292,8 +256,6 @@ func TestPanicsOnInvalidParameters(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"chi-squared k=0", func() { s.ChiSquared(0) }},
-		{"exponential rate=0", func() { s.Exponential(0) }},
 		{"poisson negative", func() { s.Poisson(-1) }},
 		{"laplace b=0", func() { s.Laplace(0) }},
 	}

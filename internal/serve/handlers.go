@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -258,6 +259,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		lease.Release()
 		if k, isCtx := ctxErrKind(err); isCtx {
 			s.writeError(w, k, err.Error(), scanFallback(book, req.TopK))
+			return
+		}
+		// An observation the estimator rejects (negative or non-finite
+		// energy) is the client's fault: a 400 that leaves the breaker
+		// neutral, so bad input cannot open the circuit for valid callers.
+		var oe *covest.ObservationError
+		if errors.As(err, &oe) {
+			s.writeError(w, errBadRequest, err.Error(), nil)
 			return
 		}
 		// Estimation failure (poisoned energies, degenerate solve) is the

@@ -504,10 +504,11 @@ func TestReadyzDrainSequence(t *testing.T) {
 }
 
 // TestEstimateFaultTyped5xxAndNoPoisoning covers the estimate-side
-// fault path: an invalid (negative) energy yields a typed 500 naming
-// the scan-order fallback, and the pooled session the faulty request
-// touched serves the next request with byte-identical results to a
-// fresh server.
+// fault path for bad client input: an invalid (negative) energy yields
+// a typed 400 and leaves the estimator's circuit breaker neutral, so
+// more such requests than the breaker threshold neither open the
+// circuit nor poison the pooled session — the next valid request for
+// the same spec answers byte-identically to a fresh server.
 func TestEstimateFaultTyped5xxAndNoPoisoning(t *testing.T) {
 	srv := NewServer(Config{})
 	ts := httptest.NewServer(srv)
@@ -520,31 +521,46 @@ func TestEstimateFaultTyped5xxAndNoPoisoning(t *testing.T) {
 	req["observations"] = []map[string]any{{"beam": 0, "energy": -5.0}, {"beam": 1, "energy": 2.0}}
 	faulty, _ := json.Marshal(req)
 
-	status, _, data := post(t, ts.URL+"/v1/estimate", faulty)
-	if status != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500; body %s", status, data)
-	}
-	eb := decodeErrorBody(t, data)
-	if eb.Error.Kind != errEstimationFailed {
-		t.Errorf("kind = %q, want %q", eb.Error.Kind, errEstimationFailed)
-	}
-	if eb.Fallback == nil || eb.Fallback.Policy != "scan-order" {
-		t.Fatalf("fallback = %+v, want scan-order policy", eb.Fallback)
-	}
-	if len(eb.Fallback.RXBeams) == 0 {
-		t.Error("scan-order fallback carries no beams to sound")
+	// One more than the default breaker threshold of five.
+	for i := 0; i < 6; i++ {
+		status, _, data := post(t, ts.URL+"/v1/estimate", faulty)
+		if status != http.StatusBadRequest {
+			t.Fatalf("request %d: status = %d, want 400; body %s", i, status, data)
+		}
+		if eb := decodeErrorBody(t, data); eb.Error.Kind != errBadRequest {
+			t.Errorf("request %d: kind = %q, want %q", i, eb.Error.Kind, errBadRequest)
+		}
 	}
 
-	// The session that saw the poisoned window must answer the next
-	// request exactly like a never-faulted server.
-	status, _, got := post(t, ts.URL+"/v1/estimate", estimateBody(1, 3))
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats statszBody
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, state := range stats.Breakers {
+		if state != "closed" {
+			t.Errorf("breaker %s is %s after bad client input, want closed", key, state)
+		}
+	}
+	if n := stats.Counters["serve_estimation_failures"]; n != 0 {
+		t.Errorf("serve_estimation_failures = %d, want 0 for rejected input", n)
+	}
+
+	// The session that saw the rejected windows must answer the next
+	// valid request for the same spec exactly like a never-faulted server.
+	status, _, got := post(t, ts.URL+"/v1/estimate", estimateBody(1, 2))
 	if status != http.StatusOK {
 		t.Fatalf("post-fault request: status %d, body %s", status, got)
 	}
 	fresh := NewServer(Config{})
 	tsFresh := httptest.NewServer(fresh)
 	defer tsFresh.Close()
-	_, _, want := post(t, tsFresh.URL+"/v1/estimate", estimateBody(1, 3))
+	_, _, want := post(t, tsFresh.URL+"/v1/estimate", estimateBody(1, 2))
 	if !bytes.Equal(got, want) {
 		t.Errorf("post-fault response differs from fresh server:\n got: %s\nwant: %s", got, want)
 	}
