@@ -10,6 +10,7 @@ import (
 	"mmwalign/internal/align"
 	"mmwalign/internal/antenna"
 	"mmwalign/internal/channel"
+	"mmwalign/internal/covest"
 	"mmwalign/internal/meas"
 	"mmwalign/internal/rng"
 	"mmwalign/internal/serve"
@@ -100,14 +101,14 @@ func (s LinkSpec) withDefaults() LinkSpec {
 	return s
 }
 
-// AlignOptions tunes the proposed scheme. The zero value uses the
-// defaults of the reproduction.
+// AlignOptions tunes the proposed scheme. A zero field takes the
+// reproduction's default, the same one the figures use.
 type AlignOptions struct {
-	// J is the number of RX measurements per TX slot (default 8).
+	// J is the number of RX measurements per TX slot.
 	J int
-	// Mu is the nuclear-norm regularization weight (default 1).
+	// Mu is the nuclear-norm regularization weight.
 	Mu float64
-	// Window bounds the estimation history (default 96 measurements).
+	// Window bounds the estimation history, in measurements.
 	Window int
 }
 
@@ -329,10 +330,9 @@ func NewAlignHandler(cfg ServerConfig) (http.Handler, func(context.Context) erro
 
 func (l *Link) strategy(scheme Scheme, opt AlignOptions) (align.Strategy, error) {
 	strat, err := align.ForScheme(string(scheme), l.env.RXBook, align.SchemeSpec{
-		J:      opt.J,
-		Mu:     opt.Mu,
-		Window: opt.Window,
-		Gamma:  channel.DBToLinear(l.spec.SNRdB),
+		J:         opt.J,
+		Window:    opt.Window,
+		Estimator: covest.Options{Gamma: channel.DBToLinear(l.spec.SNRdB), Mu: opt.Mu},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mmwalign: unknown scheme %q", scheme)

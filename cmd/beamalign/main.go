@@ -16,10 +16,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
 	"mmwalign"
+	"mmwalign/internal/align"
 	"mmwalign/internal/obs"
 )
 
@@ -48,14 +50,14 @@ func backoff(base time.Duration, attempt int) time.Duration {
 
 func run() error {
 	var (
-		scheme    = flag.String("scheme", "proposed", "alignment scheme: proposed|random|scan|exhaustive|hierarchical")
+		scheme    = flag.String("scheme", "proposed", "alignment scheme: "+strings.Join(align.SchemeNames(), "|"))
 		budget    = flag.Int("budget", 0, "measurement budget in beam pairs (overrides -rate)")
 		rate      = flag.Float64("rate", 0.15, "measurement budget as a fraction of all pairs")
 		chKind    = flag.String("channel", "singlepath", "channel model: singlepath|multipath")
 		seed      = flag.Int64("seed", 1, "random seed")
 		snrDB     = flag.Float64("snr", 0, "pre-beamforming SNR Es/N0 in dB")
 		snapshots = flag.Int("snapshots", 4, "snapshots per measurement")
-		j         = flag.Int("j", 8, "measurements per TX slot (proposed)")
+		j         = flag.Int("j", 0, fmt.Sprintf("measurements per TX slot (proposed; 0 = %d)", align.SchemeSpec{}.WithDefaults().J))
 		verbose   = flag.Bool("v", false, "print the loss trajectory")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		maxFailed = flag.Int("max-failed-drops", 0, "retry budget: re-run a failed alignment up to this many times with fresh randomness")

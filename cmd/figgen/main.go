@@ -54,6 +54,7 @@ import (
 	"syscall"
 	"time"
 
+	"mmwalign/internal/align"
 	"mmwalign/internal/cmat"
 	"mmwalign/internal/experiment"
 	"mmwalign/internal/faultinject"
@@ -76,6 +77,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("figgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	defaults := align.SchemeSpec{}.WithDefaults()
 	var (
 		fig        = fs.Int("fig", 0, "paper figure to regenerate (5-8)")
 		all        = fs.Bool("all", false, "regenerate all figures")
@@ -83,9 +85,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed       = fs.Int64("seed", 1, "random seed")
 		gammaDB    = fs.Float64("gamma", 0, "pre-beamforming SNR Es/N0 in dB")
 		snapshots  = fs.Int("snapshots", 4, "fading+noise snapshots per measurement")
-		j          = fs.Int("j", 8, "measurements per TX slot (proposed scheme)")
-		mu         = fs.Float64("mu", 1, "nuclear-norm regularization weight")
-		schemes    = fs.String("schemes", "", "comma-separated scheme list (default: random,scan,proposed)")
+		j          = fs.Int("j", 0, fmt.Sprintf("measurements per TX slot (proposed scheme; 0 = %d)", defaults.J))
+		mu         = fs.Float64("mu", 0, fmt.Sprintf("nuclear-norm regularization weight (0 = %g)", defaults.Estimator.Mu))
+		schemes    = fs.String("schemes", "", "comma-separated scheme list of "+strings.Join(align.SchemeNames(), ",")+" (default: random,scan,proposed)")
 		extended   = fs.Bool("extended", false, "include the extension schemes (two-sided, local-refine, hierarchical)")
 		out        = fs.String("out", "", "CSV output path (single figure; default stdout only)")
 		outdir     = fs.String("outdir", ".", "output directory for -all")

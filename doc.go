@@ -21,8 +21,8 @@
 // estimator (internal/covest),
 // the alignment strategies themselves (internal/align), the mobility
 // scenario engine that places them in a slotted MAC (internal/scenario),
-// the 802.15.3c-style control frames (internal/mac), and the harness that
-// regenerates the paper's figures (internal/experiment, cmd/figgen).
+// and the harness that regenerates the paper's figures
+// (internal/experiment, cmd/figgen).
 //
 // # Quick start
 //

@@ -13,34 +13,32 @@ import (
 // (e.g. J for the Scan baseline).
 type SchemeSpec struct {
 	// J is the number of RX measurements per TX slot (proposed and
-	// two-sided). Default 8.
+	// two-sided).
 	J int
-	// Mu is the nuclear-norm regularization weight. Default 1.
-	Mu float64
-	// Window bounds the estimation history. Default 96.
+	// Window bounds the estimation history.
 	Window int
-	// MaxIters bounds the proximal solver iterations. Default 25.
-	MaxIters int
-	// Gamma is the pre-beamforming SNR (linear) handed to the estimator.
-	// When 0 the strategy fills it from the sounder at run time.
-	Gamma float64
-	// AutoMuGrid, when non-empty, enables holdout µ selection over the
-	// grid (proposed and two-sided).
-	AutoMuGrid []float64
+	// Estimator configures the covariance estimator of proposed and
+	// two-sided. A zero Gamma is filled from the sounder at run time.
+	Estimator covest.Options
 }
 
-func (s SchemeSpec) withDefaults() SchemeSpec {
+// WithDefaults returns a copy with zero fields replaced by the
+// reproduction's defaults: J = 8, Window = 96, µ = 1 and 25 solver
+// iterations. This is the one table of those values; every
+// configuration that restates them (experiment, scenario, serve) copies
+// them from here.
+func (s SchemeSpec) WithDefaults() SchemeSpec {
 	if s.J == 0 {
 		s.J = 8
-	}
-	if s.Mu == 0 {
-		s.Mu = 1
 	}
 	if s.Window == 0 {
 		s.Window = 96
 	}
-	if s.MaxIters == 0 {
-		s.MaxIters = 25
+	if s.Estimator.Mu == 0 {
+		s.Estimator.Mu = 1
+	}
+	if s.Estimator.MaxIters == 0 {
+		s.Estimator.MaxIters = 25
 	}
 	return s
 }
@@ -48,8 +46,9 @@ func (s SchemeSpec) withDefaults() SchemeSpec {
 // ForScheme constructs a built-in strategy by name. rxBook is the RX
 // codebook the environment will run with (needed by the hierarchical
 // descent, ignored by the others). This is the single construction
-// switch shared by the public API and the serving layer, so a scheme
-// name means the same strategy everywhere.
+// switch: the figure sweeps, the scenario engine, the serving layer and
+// the public API all build through it, so a scheme name means the same
+// strategy everywhere.
 func ForScheme(name string, rxBook *antenna.Codebook, spec SchemeSpec) (Strategy, error) {
 	switch name {
 	case "random":
@@ -59,17 +58,8 @@ func ForScheme(name string, rxBook *antenna.Codebook, spec SchemeSpec) (Strategy
 	case "exhaustive":
 		return ExhaustiveStrategy{}, nil
 	case "proposed", "proposed-warm", "two-sided":
-		spec = spec.withDefaults()
-		cfg := ProposedConfig{
-			J:          spec.J,
-			Window:     spec.Window,
-			AutoMuGrid: spec.AutoMuGrid,
-			Estimator: covest.Options{
-				Gamma:    spec.Gamma,
-				Mu:       spec.Mu,
-				MaxIters: spec.MaxIters,
-			},
-		}
+		spec = spec.WithDefaults()
+		cfg := ProposedConfig{J: spec.J, Window: spec.Window, Estimator: spec.Estimator}
 		if name == "two-sided" {
 			return NewTwoSided(cfg), nil
 		}

@@ -10,6 +10,7 @@ import (
 
 	"mmwalign/internal/antenna"
 	"mmwalign/internal/channel"
+	"mmwalign/internal/covest"
 	"mmwalign/internal/meas"
 	"mmwalign/internal/rng"
 )
@@ -54,7 +55,7 @@ func TestProposedAlignmentAllocations(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	strat, err := ForScheme("proposed", nil, SchemeSpec{J: 8, Window: 96, MaxIters: 25})
+	strat, err := ForScheme("proposed", nil, SchemeSpec{J: 8, Window: 96, Estimator: covest.Options{MaxIters: 25}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type WarmState struct {
 // ProposedConfig configures the paper's learning-based strategy.
 type ProposedConfig struct {
 	// J is the number of RX measurements per TX slot (the paper's J).
-	// Default 8.
+	// Zero takes SchemeSpec's default.
 	J int
 	// Estimator configures the covariance estimator. Gamma is filled
 	// from the sounder when zero.
@@ -53,7 +53,7 @@ type ProposedConfig struct {
 
 func (c ProposedConfig) withDefaults() ProposedConfig {
 	if c.J == 0 {
-		c.J = 8
+		c.J = SchemeSpec{}.WithDefaults().J
 	}
 	return c
 }

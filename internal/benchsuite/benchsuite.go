@@ -13,6 +13,7 @@ import (
 	"math"
 	"testing"
 
+	"mmwalign/internal/align"
 	"mmwalign/internal/antenna"
 	"mmwalign/internal/cmat"
 	"mmwalign/internal/covest"
@@ -124,7 +125,9 @@ func EstimateFixture() (*covest.Estimator, []covest.Observation) {
 		z := src.ComplexNormal(lambda)
 		obs = append(obs, covest.Observation{V: v, Energy: real(z)*real(z) + imag(z)*imag(z)})
 	}
-	est, err := covest.NewEstimator(64, covest.Options{Gamma: 1, MaxIters: 25})
+	opts := align.SchemeSpec{}.WithDefaults().Estimator
+	opts.Gamma = 1
+	est, err := covest.NewEstimator(64, opts)
 	if err != nil {
 		panic(err) // fixture construction is deterministic; cannot fail
 	}

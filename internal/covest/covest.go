@@ -111,6 +111,10 @@ type Batcher interface {
 	MulInto(dst, a, b *cmat.Matrix)
 }
 
+// withDefaults fills the solver's own defaults. The reproduction's µ and
+// iteration budget live in align.SchemeSpec.WithDefaults, and every
+// non-test caller passes them explicitly; µ = 1 and 40 iterations here
+// are reached only by tests that build Options directly.
 func (o Options) withDefaults() Options {
 	if o.Mu == 0 {
 		o.Mu = 1

@@ -49,7 +49,11 @@ func ConfigForFigure(figure int, cfg Config) (Config, string, error) {
 	default:
 		return Config{}, "", fmt.Errorf("experiment: the paper has figures 5-8, not %d", figure)
 	}
-	return cfg.WithDefaults(), fmt.Sprintf("fig%d", figure), nil
+	rc := cfg.WithDefaults()
+	if err := rc.checkSchemes(); err != nil {
+		return Config{}, "", err
+	}
+	return rc, fmt.Sprintf("fig%d", figure), nil
 }
 
 // JournalHeader builds the journal header for resuming the given

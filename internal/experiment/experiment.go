@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"mmwalign/internal/align"
@@ -57,22 +59,21 @@ type Config struct {
 	GammaDB float64 `json:"gamma_db"`
 	// Snapshots is the number of fading+noise snapshots per measurement.
 	Snapshots int `json:"snapshots"`
-	// J is the proposed scheme's measurements per TX slot.
-	J int `json:"j"`
-	// Window bounds the estimation history of the proposed scheme.
-	Window int `json:"window"`
-	// Mu is the nuclear-norm regularization weight.
-	Mu float64 `json:"mu"`
-	// EstimatorIters bounds proximal iterations per estimation.
-	EstimatorIters int `json:"estimator_iters"`
+	// J, Window, Mu and EstimatorIters parameterize the proposed and
+	// two-sided schemes (align.SchemeSpec's J, Window, Estimator.Mu and
+	// Estimator.MaxIters).
+	J              int     `json:"j"`
+	Window         int     `json:"window"`
+	Mu             float64 `json:"mu"`
+	EstimatorIters int     `json:"estimator_iters"`
 	// Multipath selects the NYC clustered channel instead of single-path.
 	Multipath bool `json:"multipath"`
 	// SearchRates are the L/T points of the effectiveness sweep.
 	SearchRates []float64 `json:"search_rates"`
 	// TargetsDB are the target losses of the cost-efficiency sweep.
 	TargetsDB []float64 `json:"targets_db"`
-	// Schemes are the strategy names to compare. Known names:
-	// "random", "scan", "exhaustive", "proposed", "hierarchical".
+	// Schemes are the strategy names to compare: any of
+	// align.SchemeNames().
 	Schemes []string `json:"schemes"`
 	// EstimatorKind selects the likelihood (ablation); zero means
 	// covest.PerMeasurement.
@@ -129,14 +130,15 @@ type Config struct {
 	// batcher is the live cross-cell GEMM scheduler of the current run,
 	// installed by trajectories when CrossCellBatch is set. Runtime
 	// state, never serialized; it rides the by-value Config copies down
-	// to makeStrategy, which hands it to the estimator options.
+	// to schemeSpec, which hands it to the estimator options.
 	batcher *gemmBatcher
 }
 
 // WithDefaults returns a copy with zero fields replaced by the defaults
 // used throughout the reproduction: 4×4/8×8 arrays, 16/64-beam books
-// (T = 1024 pairs), γ = 0 dB, 4 snapshots, J = 8, 100 drops, the paper's
-// three schemes, and sweeps matching the figures.
+// (T = 1024 pairs), γ = 0 dB, 4 snapshots, 100 drops, the paper's three
+// schemes, sweeps matching the figures, and the estimator settings of
+// align.SchemeSpec.WithDefaults.
 func (c Config) WithDefaults() Config {
 	if c.Drops == 0 {
 		c.Drops = 100
@@ -168,18 +170,8 @@ func (c Config) WithDefaults() Config {
 	if c.Snapshots == 0 {
 		c.Snapshots = 4
 	}
-	if c.J == 0 {
-		c.J = 8
-	}
-	if c.Window == 0 {
-		c.Window = 96
-	}
-	if c.Mu == 0 {
-		c.Mu = 1
-	}
-	if c.EstimatorIters == 0 {
-		c.EstimatorIters = 25
-	}
+	spec := c.schemeSpec().WithDefaults()
+	c.J, c.Window, c.Mu, c.EstimatorIters = spec.J, spec.Window, spec.Estimator.Mu, spec.Estimator.MaxIters
 	if c.SearchRates == nil {
 		c.SearchRates = []float64{0.03, 0.06, 0.10, 0.15, 0.20, 0.25, 0.30}
 	}
@@ -316,59 +308,37 @@ func buildEnv(cfg Config, root *rng.Source, drop int, scheme string, rec *obs.Re
 	}, nil
 }
 
-// estimatorBatcher returns the run's live batch scheduler as the
-// estimator's covest.Batcher seam, or a true nil interface when
-// batching is off — assigning the nil *gemmBatcher directly would
-// produce a typed-nil interface the estimator reads as "batching on".
-func (c Config) estimatorBatcher() covest.Batcher {
-	if c.batcher == nil {
-		return nil
+// schemeSpec returns the config's strategy knobs as align.ForScheme
+// takes them.
+func (c Config) schemeSpec() align.SchemeSpec {
+	spec := align.SchemeSpec{
+		J:      c.J,
+		Window: c.Window,
+		Estimator: covest.Options{
+			Gamma:    channel.DBToLinear(c.GammaDB),
+			Mu:       c.Mu,
+			MaxIters: c.EstimatorIters,
+			Kind:     c.EstimatorKind,
+		},
 	}
-	return c.batcher
+	// Assigning the nil *gemmBatcher directly would produce a typed-nil
+	// interface the estimator reads as "batching on".
+	if c.batcher != nil {
+		spec.Estimator.Batcher = c.batcher
+	}
+	return spec
 }
 
-// makeStrategy instantiates a scheme by name for the given environment.
-func makeStrategy(cfg Config, name string, env *align.Env) (align.Strategy, error) {
-	switch name {
-	case "random":
-		return align.RandomStrategy{}, nil
-	case "scan":
-		return align.ScanStrategy{}, nil
-	case "exhaustive":
-		return align.ExhaustiveStrategy{}, nil
-	case "proposed":
-		return align.NewProposed(align.ProposedConfig{
-			J:      cfg.J,
-			Window: cfg.Window,
-			Estimator: covest.Options{
-				Gamma:    channel.DBToLinear(cfg.GammaDB),
-				Mu:       cfg.Mu,
-				MaxIters: cfg.EstimatorIters,
-				Kind:     cfg.EstimatorKind,
-				Batcher:  cfg.estimatorBatcher(),
-			},
-		}), nil
-	case "two-sided":
-		return align.NewTwoSided(align.ProposedConfig{
-			J:      cfg.J,
-			Window: cfg.Window,
-			Estimator: covest.Options{
-				Gamma:    channel.DBToLinear(cfg.GammaDB),
-				Mu:       cfg.Mu,
-				MaxIters: cfg.EstimatorIters,
-				Kind:     cfg.EstimatorKind,
-				Batcher:  cfg.estimatorBatcher(),
-			},
-		}), nil
-	case "hierarchical":
-		return align.NewHierarchical(antenna.NewHierCodebook(env.RXBook, 2, 2)), nil
-	case "local-refine":
-		return align.NewLocalRefine(), nil
-	case "digital":
-		return align.NewDigital(), nil
-	default:
-		return nil, fmt.Errorf("experiment: unknown scheme %q", name)
+// checkSchemes rejects a scheme name align.ForScheme does not know.
+// Such a name fails every cell the same way, so it is a configuration
+// error, reported before any cell runs rather than retried per drop.
+func (c Config) checkSchemes() error {
+	for _, s := range c.Schemes {
+		if !slices.Contains(align.SchemeNames(), s) {
+			return fmt.Errorf("experiment: unknown scheme %q (known: %s)", s, strings.Join(align.SchemeNames(), ", "))
+		}
 	}
+	return nil
 }
 
 // sweepSpec describes the config's (drop, scheme) grid to the sweep
@@ -386,7 +356,7 @@ func (c Config) sweepSpec(budget int) sweep.Spec[align.Trajectory] {
 			if err != nil {
 				return align.Trajectory{}, err
 			}
-			strat, err := makeStrategy(c, scheme, env)
+			strat, err := align.ForScheme(scheme, env.RXBook, c.schemeSpec())
 			if err != nil {
 				return align.Trajectory{}, err
 			}
@@ -414,6 +384,9 @@ func (c Config) sweepSpec(budget int) sweep.Spec[align.Trajectory] {
 // (keeping the per-scheme aggregates comparable) and reported; over
 // budget, the joined errors are returned.
 func trajectories(ctx context.Context, cfg Config, budget int, visit func(scheme string, drop int, tr align.Trajectory)) (*FailureReport, *sweep.Stats, error) {
+	if err := cfg.checkSchemes(); err != nil {
+		return nil, nil, err
+	}
 	if cfg.CrossCellBatch {
 		// One scheduler for the whole run; stopped only after every
 		// worker has drained, so no MulInto can race the close.

@@ -3,7 +3,9 @@ package experiment
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"mmwalign/internal/align"
 )
@@ -178,11 +180,45 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestUnknownSchemeRejected pins that a name outside
+// align.SchemeNames() is a configuration error: the sweep returns at
+// once with one plain error, and no cell runs, retries or waits out its
+// backoff.
 func TestUnknownSchemeRejected(t *testing.T) {
 	cfg := tinyConfig(false)
-	cfg.Schemes = []string{"psychic"}
-	if _, err := SearchEffectivenessContext(context.Background(), cfg); err == nil {
-		t.Error("unknown scheme accepted")
+	cfg.Schemes = []string{"random", "bogus"}
+	cfg.MaxRetries = 3
+	cfg.RetryBackoff = time.Hour
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	fig, err := SearchEffectivenessContext(ctx, cfg)
+	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Fatalf("err = %v, want an unknown-scheme error", err)
+	}
+	if ctx.Err() != nil || time.Since(start) > 5*time.Second {
+		t.Fatalf("rejection took %v: cells ran and retried", time.Since(start))
+	}
+	if fig.Failures != nil {
+		t.Errorf("Failures = %+v, want none: no cell should run", fig.Failures)
+	}
+	if _, err := JournalHeader(5, cfg); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Errorf("JournalHeader err = %v, want an unknown-scheme error", err)
+	}
+}
+
+// TestEverySchemeNameRuns pins that a figure sweep builds its
+// strategies through align.ForScheme: every name it lists runs.
+func TestEverySchemeNameRuns(t *testing.T) {
+	cfg := tinyConfig(false)
+	cfg.Drops = 1
+	cfg.Schemes = align.SchemeNames()
+	fig, err := SearchEffectivenessContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Series) != len(cfg.Schemes) {
+		t.Errorf("got %d series, want %d", len(fig.Series), len(cfg.Schemes))
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"mmwalign/internal/align"
 	"mmwalign/internal/antenna"
 	"mmwalign/internal/channel"
+	"mmwalign/internal/covest"
 	"mmwalign/internal/journal"
 	"mmwalign/internal/meas"
 	"mmwalign/internal/metrics"
@@ -93,7 +94,9 @@ type Config struct {
 	GammaDB float64 `json:"gamma_db"`
 	// Snapshots per measurement.
 	Snapshots int `json:"snapshots"`
-	// J, Window, Mu, EstimatorIters parameterize the proposed scheme.
+	// J, Window, Mu, EstimatorIters parameterize the proposed scheme
+	// (align.SchemeSpec's J, Window, Estimator.Mu and
+	// Estimator.MaxIters).
 	J              int     `json:"j"`
 	Window         int     `json:"window"`
 	Mu             float64 `json:"mu"`
@@ -189,22 +192,19 @@ func (c Config) WithDefaults() Config {
 	if c.Snapshots == 0 {
 		c.Snapshots = 4
 	}
-	if c.J == 0 {
-		c.J = 8
-	}
-	if c.Window == 0 {
-		c.Window = 96
-	}
-	if c.Mu == 0 {
-		c.Mu = 1
-	}
-	if c.EstimatorIters == 0 {
-		c.EstimatorIters = 25
-	}
+	spec := c.schemeSpec().WithDefaults()
+	c.J, c.Window, c.Mu, c.EstimatorIters = spec.J, spec.Window, spec.Estimator.Mu, spec.Estimator.MaxIters
 	if c.Schemes == nil {
 		c.Schemes = []string{"proposed", "proposed-warm", "exhaustive", "hierarchical", "two-sided"}
 	}
 	return c
+}
+
+// schemeSpec returns the config's strategy knobs as align.ForScheme
+// takes them. Gamma stays zero: each alignment reads it from the
+// sounder, whose SNR follows the UE's distance.
+func (c Config) schemeSpec() align.SchemeSpec {
+	return align.SchemeSpec{J: c.J, Window: c.Window, Estimator: covest.Options{Mu: c.Mu, MaxIters: c.EstimatorIters}}
 }
 
 // Drops returns the cell-grid depth: one drop per (speed, UE) point,
@@ -371,12 +371,7 @@ func runCell(ctx context.Context, cfg Config, root *rng.Source, drop int, scheme
 	// (proposed-warm) carry their estimate from one alignment to the
 	// next, stateless ones are indistinguishable from fresh
 	// construction.
-	strat, err := align.ForScheme(scheme, rxBook, align.SchemeSpec{
-		J:        cfg.J,
-		Mu:       cfg.Mu,
-		Window:   cfg.Window,
-		MaxIters: cfg.EstimatorIters,
-	})
+	strat, err := align.ForScheme(scheme, rxBook, cfg.schemeSpec())
 	if err != nil {
 		return Trace{}, err
 	}

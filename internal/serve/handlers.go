@@ -30,10 +30,11 @@ type estimateRequest struct {
 	BeamsEl int `json:"beams_el,omitempty"`
 	// SNRdB is the pre-beamforming sounding SNR (default 0 dB).
 	SNRdB float64 `json:"snr_db,omitempty"`
-	// Mu is the nuclear-norm regularization weight (default 1).
-	Mu float64 `json:"mu,omitempty"`
-	// MaxIters bounds the proximal solver iterations (default 25).
-	MaxIters int `json:"max_iters,omitempty"`
+	// Mu is the nuclear-norm regularization weight and MaxIters bounds
+	// the proximal solver iterations; zero takes
+	// align.SchemeSpec.WithDefaults.
+	Mu       float64 `json:"mu,omitempty"`
+	MaxIters int     `json:"max_iters,omitempty"`
 	// Accelerated selects FISTA over ISTA.
 	Accelerated bool `json:"accelerated,omitempty"`
 	// Observations is the estimation window.
@@ -371,7 +372,8 @@ type alignRequest struct {
 	TXBeamsEl int `json:"tx_beams_el,omitempty"`
 	RXBeamsAz int `json:"rx_beams_az,omitempty"`
 	RXBeamsEl int `json:"rx_beams_el,omitempty"`
-	// J, Mu, Window tune the proposed scheme (defaults 8, 1, 96).
+	// J, Mu, Window tune the proposed scheme; zero takes
+	// align.SchemeSpec.WithDefaults.
 	J      int     `json:"j,omitempty"`
 	Mu     float64 `json:"mu,omitempty"`
 	Window int     `json:"window,omitempty"`
@@ -529,10 +531,9 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.breaker.resolve(bkey, probe, outcome) }()
 
 	strat, err := align.ForScheme(scheme, env.RXBook, align.SchemeSpec{
-		J:      req.J,
-		Mu:     req.Mu,
-		Window: req.Window,
-		Gamma:  channel.DBToLinear(req.SNRdB),
+		J:         req.J,
+		Window:    req.Window,
+		Estimator: covest.Options{Gamma: channel.DBToLinear(req.SNRdB), Mu: req.Mu},
 	})
 	if err != nil {
 		s.writeError(w, errBadRequest, err.Error(), nil)

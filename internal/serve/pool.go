@@ -29,6 +29,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mmwalign/internal/align"
 	"mmwalign/internal/antenna"
 	"mmwalign/internal/covest"
 )
@@ -52,8 +53,9 @@ type EstimatorSpec struct {
 	Accelerated bool
 }
 
-// WithDefaults fills zero fields with the paper's settings (8×8 UPA,
-// 8×8 beam grid, 0 dB → γ=1, µ=1, 25 iterations).
+// WithDefaults fills zero fields with the paper's settings: 8×8 UPA,
+// 8×8 beam grid, 0 dB → γ=1, and µ and the iteration budget of
+// align.SchemeSpec.WithDefaults.
 func (s EstimatorSpec) WithDefaults() EstimatorSpec {
 	def := func(p *int, v int) {
 		if *p == 0 {
@@ -64,13 +66,11 @@ func (s EstimatorSpec) WithDefaults() EstimatorSpec {
 	def(&s.PanelZ, 8)
 	def(&s.BeamsAz, 8)
 	def(&s.BeamsEl, 8)
-	def(&s.MaxIters, 25)
 	if s.Gamma == 0 {
 		s.Gamma = 1
 	}
-	if s.Mu == 0 {
-		s.Mu = 1
-	}
+	est := align.SchemeSpec{Estimator: covest.Options{Mu: s.Mu, MaxIters: s.MaxIters}}.WithDefaults().Estimator
+	s.Mu, s.MaxIters = est.Mu, est.MaxIters
 	return s
 }
 

@@ -549,22 +549,21 @@ type LatencySummary struct {
 }
 
 // latencyTracker keeps a bounded reservoir of per-endpoint latency
-// samples for percentile reporting. metrics.Histogram is not
+// samples for percentile reporting. The rings are not
 // concurrency-safe, so all state lives behind the tracker's mutex.
 type latencyTracker struct {
 	mu   sync.Mutex
 	byEP map[string]*latencyRing
 }
 
-// latencyRing is a fixed-capacity overwrite-oldest sample buffer plus a
-// coarse histogram (0–100ms) for shape inspection. p50cache holds the
-// median digested at sample count p50at, refreshed every
-// p50RecomputeEvery samples for the admission-time shed test.
+// latencyRing is a fixed-capacity overwrite-oldest sample buffer; the
+// /statsz percentiles are digested from it. p50cache holds the median
+// digested at sample count p50at, refreshed every p50RecomputeEvery
+// samples for the admission-time shed test.
 type latencyRing struct {
 	samples  []float64
 	next     int
 	total    int
-	hist     *metrics.Histogram
 	p50cache float64
 	p50at    int
 }
@@ -580,10 +579,7 @@ func (t *latencyTracker) observe(endpoint string, ns int64) {
 	defer t.mu.Unlock()
 	r, ok := t.byEP[endpoint]
 	if !ok {
-		r = &latencyRing{
-			samples: make([]float64, 0, latencyRingCap),
-			hist:    metrics.NewHistogram(0, 100e6, 50),
-		}
+		r = &latencyRing{samples: make([]float64, 0, latencyRingCap)}
 		t.byEP[endpoint] = r
 	}
 	if len(r.samples) < latencyRingCap {
@@ -593,7 +589,6 @@ func (t *latencyTracker) observe(endpoint string, ns int64) {
 		r.next = (r.next + 1) % latencyRingCap
 	}
 	r.total++
-	r.hist.Add(float64(ns))
 }
 
 // summaries digests every endpoint's reservoir into percentiles.

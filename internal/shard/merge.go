@@ -41,22 +41,16 @@ type MergeResult struct {
 // grid simply merges fewer cells and the figure run computes the rest
 // in-process.
 func Merge(dir string, figure int, cfg experiment.Config) (*MergeResult, error) {
-	rc, figID, err := experiment.ConfigForFigure(figure, cfg)
+	rc, want, err := runHeader(figure, cfg)
 	if err != nil {
 		return nil, err
 	}
-	wantHash := rc.CanonicalHash()
-
 	hdr, err := ReadDirHeader(dir)
 	if err != nil {
 		return nil, err
 	}
-	if hdr.Schema != DirSchema {
-		return nil, fmt.Errorf("shard: %s has schema %q, want %q", dir, hdr.Schema, DirSchema)
-	}
-	if hdr.Figure != figID || hdr.ConfigHash != wantHash {
-		return nil, fmt.Errorf("shard: directory %s holds %s/%.12s…, merge requested %s/%.12s… — refusing to merge across configurations",
-			dir, hdr.Figure, hdr.ConfigHash, figID, wantHash)
+	if err := hdr.check(filepath.Join(dir, "shard.json"), want); err != nil {
+		return nil, err
 	}
 
 	paths, err := filepath.Glob(filepath.Join(dir, "journals", "*.journal"))
@@ -74,7 +68,7 @@ func Merge(dir string, figure int, cfg experiment.Config) (*MergeResult, error) 
 	})
 	summary := &obs.ShardSummary{
 		Dir:        dir,
-		TotalCells: hdr.Drops * len(hdr.Schemes),
+		TotalCells: rc.Drops * len(rc.Schemes),
 	}
 	journaledTotal := 0
 	for _, p := range paths {
@@ -86,9 +80,9 @@ func Merge(dir string, figure int, cfg experiment.Config) (*MergeResult, error) 
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading %s: %w", p, err)
 		}
-		if jh.Figure != figID || jh.ConfigHash != wantHash {
+		if jh.Figure != want.Figure || jh.ConfigHash != want.ConfigHash {
 			return nil, fmt.Errorf("shard: journal %s holds %s/%.12s…, want %s/%.12s…",
-				p, jh.Figure, jh.ConfigHash, figID, wantHash)
+				p, jh.Figure, jh.ConfigHash, want.Figure, want.ConfigHash)
 		}
 		for key, payload := range cells {
 			if prev, dup := merged[key]; dup {
@@ -138,7 +132,7 @@ func Merge(dir string, figure int, cfg experiment.Config) (*MergeResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range grid(hdr.Drops, hdr.Schemes) {
+	for _, c := range grid(rc.Drops, rc.Schemes) {
 		m, ok := merged[c]
 		if !ok {
 			continue

@@ -52,6 +52,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -215,12 +216,57 @@ func createExclusive(path string, data []byte) error {
 	return linkErr
 }
 
+// runHeader resolves the figure config exactly as the sweep runs it,
+// and the shard.json identity of that run.
+func runHeader(figure int, cfg experiment.Config) (experiment.Config, DirHeader, error) {
+	rc, figID, err := experiment.ConfigForFigure(figure, cfg)
+	if err != nil {
+		return experiment.Config{}, DirHeader{}, err
+	}
+	return rc, DirHeader{
+		Schema:     DirSchema,
+		Figure:     figID,
+		ConfigHash: rc.CanonicalHash(),
+		Seed:       rc.Seed,
+		Drops:      rc.Drops,
+		Schemes:    append([]string(nil), rc.Schemes...),
+	}, nil
+}
+
+// HeaderMismatchError reports a shard.json that does not belong to the
+// run reading it: another schema, figure or config hash, or a restated
+// run shape (seed, drops, schemes) other than the one the hash commits
+// to. Workers and the merge build their cell grid from the run config,
+// so a disagreeing shape is as foreign as another hash.
+type HeaderMismatchError struct {
+	// Path is the shard.json file; Got is its header, Want the run's.
+	Path      string
+	Got, Want DirHeader
+}
+
+func (e *HeaderMismatchError) Error() string {
+	g, w := e.Got, e.Want
+	return fmt.Sprintf("shard: %s holds %s %s/%.12s… (seed %d, %d drops, schemes %v), this run is %s %s/%.12s… (seed %d, %d drops, schemes %v) — one shard directory per run",
+		e.Path, g.Schema, g.Figure, g.ConfigHash, g.Seed, g.Drops, g.Schemes, w.Schema, w.Figure, w.ConfigHash, w.Seed, w.Drops, w.Schemes)
+}
+
+// check returns a *HeaderMismatchError unless h is the header of the
+// run want describes.
+func (h *DirHeader) check(path string, want DirHeader) error {
+	if h.Schema != want.Schema || h.Figure != want.Figure || h.ConfigHash != want.ConfigHash ||
+		h.Seed != want.Seed || h.Drops != want.Drops || !slices.Equal(h.Schemes, want.Schemes) {
+		return &HeaderMismatchError{Path: path, Got: *h, Want: want}
+	}
+	return nil
+}
+
 // InitDir ensures the shard directory exists with the protocol layout
 // and a shard.json matching the (figure, config) identity; the first
 // caller creates it, later callers validate against it. Mismatched
-// identity is an error — a shard directory belongs to exactly one run.
+// identity is a *HeaderMismatchError — a shard directory belongs to
+// exactly one run.
 func InitDir(dir string, figure int, cfg experiment.Config) (*DirHeader, error) {
-	rc, figID, err := experiment.ConfigForFigure(figure, cfg)
+	_, want, err := runHeader(figure, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -229,15 +275,7 @@ func InitDir(dir string, figure int, cfg experiment.Config) (*DirHeader, error) 
 			return nil, fmt.Errorf("shard: creating %s: %w", filepath.Join(dir, sub), err)
 		}
 	}
-	want := DirHeader{
-		Schema:     DirSchema,
-		Figure:     figID,
-		ConfigHash: rc.CanonicalHash(),
-		Seed:       rc.Seed,
-		Drops:      rc.Drops,
-		Schemes:    append([]string(nil), rc.Schemes...),
-		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
-	}
+	want.CreatedAt = time.Now().UTC().Format(time.RFC3339)
 	hp := filepath.Join(dir, "shard.json")
 	data, err := json.MarshalIndent(want, "", "  ")
 	if err != nil {
@@ -251,12 +289,8 @@ func InitDir(dir string, figure int, cfg experiment.Config) (*DirHeader, error) 
 		if err != nil {
 			return nil, err
 		}
-		if got.Schema != DirSchema {
-			return nil, fmt.Errorf("shard: %s has schema %q, want %q", hp, got.Schema, DirSchema)
-		}
-		if got.Figure != want.Figure || got.ConfigHash != want.ConfigHash {
-			return nil, fmt.Errorf("shard: directory %s belongs to %s/%.12s…, this run is %s/%.12s… — one shard directory per run",
-				dir, got.Figure, got.ConfigHash, want.Figure, want.ConfigHash)
+		if err := got.check(hp, want); err != nil {
+			return nil, err
 		}
 		return got, nil
 	default:
@@ -454,8 +488,11 @@ func (w *Worker) Run(ctx context.Context) (*WorkerSummary, error) {
 		ttl = 10 * time.Second
 	}
 	w.TTL = ttl
-	hdr, err := InitDir(w.Dir, w.Figure, w.Config)
+	rc, _, err := experiment.ConfigForFigure(w.Figure, w.Config)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := InitDir(w.Dir, w.Figure, w.Config); err != nil {
 		return nil, err
 	}
 
@@ -481,7 +518,7 @@ func (w *Worker) Run(ctx context.Context) (*WorkerSummary, error) {
 	}
 	defer jnl.Close()
 
-	cells := grid(hdr.Drops, hdr.Schemes)
+	cells := grid(rc.Drops, rc.Schemes)
 	sum := &WorkerSummary{Worker: w.ID, PID: os.Getpid()}
 
 	// Re-mark every cell already in our journal: a predecessor killed
