@@ -1,15 +1,18 @@
-// Package benchsuite defines the canonical benchmark workloads for the
-// solver hot path and the figure regenerations, shared between the
-// `go test -bench` entry points (bench_test.go) and the cmd/benchdiff
-// regression tool. Each workload is a self-contained testing.B function
-// that reports allocations and attaches its fidelity metrics (the
-// figure benchmarks' loss_dB / rate_at_3dB, the estimator's final
-// objective) via b.ReportMetric, so a single definition yields both
-// human-readable benchmark output and machine-comparable baselines.
+// Package benchsuite defines the canonical benchmark workloads: the
+// solver kernels at the proposed scheme's problem size, the reduced
+// paper figures, the cross-cell batching and mobility sweeps, and a
+// served burst. Each is an Op: fixture state built once, an operation
+// to repeat, and the Sample of counters and fidelity metrics the last
+// operation yielded. The `go test -bench` entry points in bench_test.go
+// time the ops through Bench, and the root package's TestBenchGolden
+// pins every op's exact solver counters, fidelity metrics and
+// allocations in testdata/bench_golden.json. Wall time is perfbench's
+// to measure.
 package benchsuite
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -18,96 +21,61 @@ import (
 	"mmwalign/internal/cmat"
 	"mmwalign/internal/covest"
 	"mmwalign/internal/experiment"
+	"mmwalign/internal/obs"
 	"mmwalign/internal/rng"
 	"mmwalign/internal/scenario"
 )
 
-// Workload is one named benchmark: Func drives a testing.B loop,
-// reporting allocations and fidelity metrics.
-type Workload struct {
-	// Name keys the BENCH_<Name>.json baseline file.
-	Name string
-	// Desc is a one-line description for tool output.
-	Desc string
-	// Func runs the benchmark body (including fixture setup, excluded
-	// from timing via b.ResetTimer).
-	Func func(b *testing.B)
+// Sample is what one operation yields: the solver cost counters
+// totalled over every solve it made, and its fidelity metrics by name.
+// Both are deterministic.
+type Sample struct {
+	Solver  obs.SolverStats    `json:"solver"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
-// All returns every registered workload, hot-path kernels first.
-func All() []Workload {
-	return []Workload{
-		{
-			Name: "estimate",
-			Desc: "one nuclear-norm ML covariance estimation (64 antennas, 56 observations)",
-			Func: BenchEstimate,
-		},
-		{
-			Name: "eigen",
-			Desc: "one 64x64 Hermitian eigendecomposition (Householder tridiagonalization + implicit QL)",
-			Func: BenchEigen,
-		},
-		{
-			Name: "gemm",
-			Desc: "one blocked 64x64 x 64x56 complex GEMM + column dots (the solver's Q·V λ-vector kernel)",
-			Func: BenchGEMM,
-		},
-		{
-			Name: "codebook",
-			Desc: "one whole-codebook GEMM scoring pass (64 beams, 64 antennas) plus Top-8 ranking",
-			Func: BenchCodebookScore,
-		},
-		{
-			Name: "serve",
-			Desc: "alignment-server load burst (16 requests, 8 clients, 4 slots) with p50/p95/p99 latency",
-			Func: BenchServeLoad,
-		},
-		{
-			Name: "overload",
-			Desc: "alignment-server rejection path at 4x capacity (32 requests, 16 clients, 2 slots + 2 queued) with p50/p95/p99 latency",
-			Func: BenchOverloadLoad,
-		},
-		{
-			Name: "multicell",
-			Desc: "Fig. 5 proposed-only regeneration through the cross-cell batched GEMM engine (8 workers)",
-			Func: BenchMulticell,
-		},
-		{
-			Name: "scenario",
-			Desc: "mobility scenario sweep (2 speeds x 1 UE x 8 superframes, cold and warm proposed) with effective-throughput fidelity",
-			Func: BenchScenario,
-		},
-		{
-			Name: "fig5",
-			Desc: "Fig. 5 regeneration (SNR loss vs search rate, single-path, reduced drops)",
-			Func: figureFunc(5, "loss_dB"),
-		},
-		{
-			Name: "fig6",
-			Desc: "Fig. 6 regeneration (SNR loss vs search rate, NYC multipath, reduced drops)",
-			Func: figureFunc(6, "loss_dB"),
-		},
-		{
-			Name: "fig7",
-			Desc: "Fig. 7 regeneration (required search rate vs target loss, single-path, reduced drops)",
-			Func: figureFunc(7, "rate_at_3dB"),
-		},
-		{
-			Name: "fig8",
-			Desc: "Fig. 8 regeneration (required search rate vs target loss, NYC multipath, reduced drops)",
-			Func: figureFunc(8, "rate_at_3dB"),
-		},
-	}
+// Op is one prepared workload. Run performs one operation on fixture
+// state built beforehand, so a loop over Run measures the operation
+// alone; Sample reads the counters and metrics of the last Run.
+type Op struct {
+	Run    func() error
+	Sample func() Sample
 }
 
-// ByName returns the workload with the given name.
-func ByName(name string) (Workload, bool) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, true
+// Bench times op.Run in b's loop and reports the last sample's
+// metrics, with the solver's iterations, eigendecompositions and QL
+// iterations per operation when it solved anything.
+func Bench(b *testing.B, op Op) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op.Run(); err != nil {
+			b.Fatal(err)
 		}
 	}
-	return Workload{}, false
+	b.StopTimer()
+	s := op.Sample()
+	for name, v := range s.Metrics {
+		b.ReportMetric(v, name)
+	}
+	if s.Solver.EigenDecomps > 0 {
+		b.ReportMetric(float64(s.Solver.Iters), "iters")
+		b.ReportMetric(float64(s.Solver.EigenDecomps), "eig_decomps")
+		b.ReportMetric(float64(s.Solver.EigenIters), "eigen_iters")
+	}
+}
+
+// whole is the Op of a workload that builds its own state on every run
+// and yields its sample as it finishes.
+func whole(run func() (Sample, error)) Op {
+	var last Sample
+	return Op{
+		Run: func() (err error) {
+			last, err = run()
+			return err
+		},
+		Sample: func() Sample { return last },
+	}
 }
 
 // EstimateFixture builds the canonical estimator workload: a 64-antenna
@@ -134,144 +102,136 @@ func EstimateFixture() (*covest.Estimator, []covest.Observation) {
 	return est, obs
 }
 
-// BenchEstimate measures one full regularized ML covariance estimation,
-// the per-TX-slot cost of the proposed scheme. Reported metrics:
-// objective (final penalized NLL), iters, eig_decomps and eigen_iters
-// (implicit-QL iterations, the exact eigensolve work) per call. The
-// estimator is Reset before every call: it carries its measurement
-// subspace across calls, and repeating the same observations would
-// otherwise measure only the solve, without its subspace setup.
-func BenchEstimate(b *testing.B) {
-	est, obs := EstimateFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
+// EstimateOp is one full regularized ML covariance estimation on
+// EstimateFixture, the per-TX-slot cost of the proposed scheme. Its
+// metric is the final penalized NLL, objective. The estimator is Reset
+// before every call: it carries its measurement subspace across calls,
+// and repeating the same observations would otherwise measure only the
+// solve, without its subspace setup.
+func EstimateOp() Op {
+	est, window := EstimateFixture()
 	var stats covest.Stats
-	for i := 0; i < b.N; i++ {
-		var err error
-		est.Reset()
-		_, stats, err = est.Estimate(obs, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(stats.Objective, "objective")
-	b.ReportMetric(float64(stats.Iters), "iters")
-	if stats.EigenDecomps > 0 {
-		b.ReportMetric(float64(stats.EigenDecomps), "eig_decomps")
-		b.ReportMetric(float64(stats.EigenIters), "eigen_iters")
+	return Op{
+		Run: func() (err error) {
+			est.Reset()
+			_, stats, err = est.Estimate(window, nil)
+			return err
+		},
+		Sample: func() Sample {
+			rec := obs.New()
+			rec.AddSolve(align.SolveSample(stats))
+			return Sample{Solver: rec.Snapshot().Solver, Metrics: map[string]float64{"objective": stats.Objective}}
+		},
 	}
 }
 
-// EigenFixture builds the canonical 64x64 Hermitian eigendecomposition
-// input.
-func EigenFixture() *cmat.Matrix {
+// EigenOp is one 64x64 Hermitian eigendecomposition (Householder
+// tridiagonalization + implicit QL) through a reused workspace, the
+// inner kernel of every covariance estimation. Its counters are the one
+// decomposition and its QL iterations, and its metric is the top
+// eigenvalue, top_eig.
+func EigenOp() Op {
 	src := rng.New(1)
-	m := cmat.New(64, 64)
+	h := cmat.New(64, 64)
 	for i := 0; i < 64; i++ {
 		for j := 0; j < 64; j++ {
-			m.Set(i, j, src.ComplexNormal(1))
+			h.Set(i, j, src.ComplexNormal(1))
 		}
 	}
-	return m.Hermitianize()
-}
-
-// BenchEigen measures the 64x64 Hermitian eigendecomposition,
-// the inner kernel of every covariance estimation. Reports the top
-// eigenvalue as its fidelity metric.
-func BenchEigen(b *testing.B) {
-	h := EigenFixture()
+	h = h.Hermitianize()
 	ws := cmat.NewEigenWorkspace(64)
-	b.ReportAllocs()
-	b.ResetTimer()
 	var top float64
-	for i := 0; i < b.N; i++ {
-		e, err := ws.EigHermitian(h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		top = e.Values[0]
+	return Op{
+		Run: func() error {
+			e, err := ws.EigHermitian(h)
+			if err == nil {
+				top = e.Values[0]
+			}
+			return err
+		},
+		Sample: func() Sample {
+			return Sample{
+				Solver:  obs.SolverStats{EigenDecomps: 1, EigenIters: int64(ws.Iters())},
+				Metrics: map[string]float64{"top_eig": top},
+			}
+		},
 	}
-	b.ReportMetric(top, "top_eig")
 }
 
-// GEMMFixture builds the solver's λ-vector kernel input at the canonical
-// problem size: a 64x64 Hermitian Q and the 64x56 packed observation
-// matrix V.
-func GEMMFixture() (q, v *cmat.Matrix) {
+// GEMMOp is one Q·V product plus the column dots that turn it into the
+// λ vector, at the solver's 64x56 problem size — the batched kernel
+// executed once per objective or gradient evaluation inside the solver.
+// Its metric is the checksum Σ_j λ_j, lambda_sum.
+func GEMMOp() Op {
 	src := rng.New(3)
-	q = cmat.New(64, 64)
+	q := cmat.New(64, 64)
 	for i := 0; i < 64; i++ {
 		for j := 0; j < 64; j++ {
 			q.Set(i, j, src.ComplexNormal(1))
 		}
 	}
 	q.HermitianizeInPlace()
-	v = cmat.New(64, 56)
+	v := cmat.New(64, 56)
 	for i := 0; i < 64; i++ {
 		for j := 0; j < 56; j++ {
 			v.Set(i, j, src.ComplexNormal(1))
 		}
 	}
-	return q, v
-}
-
-// BenchGEMM measures one Q·V product plus the column dots that turn it
-// into the λ vector — the batched kernel executed once per objective or
-// gradient evaluation inside the solver. Reports the checksum Σ_j λ_j
-// as its fidelity metric.
-func BenchGEMM(b *testing.B) {
-	q, v := GEMMFixture()
 	qv := cmat.New(64, 56)
 	dots := make([]complex128, 56)
-	b.ReportAllocs()
-	b.ResetTimer()
 	var sum float64
-	for i := 0; i < b.N; i++ {
-		qv.MulInto(q, v)
-		cmat.ColumnDotsInto(dots, v, qv)
-		sum = 0
-		for _, d := range dots {
-			sum += real(d)
-		}
+	return Op{
+		Run: func() error {
+			qv.MulInto(q, v)
+			cmat.ColumnDotsInto(dots, v, qv)
+			sum = 0
+			for _, d := range dots {
+				sum += real(d)
+			}
+			return nil
+		},
+		Sample: func() Sample { return Sample{Metrics: map[string]float64{"lambda_sum": sum}} },
 	}
-	b.ReportMetric(sum, "lambda_sum")
 }
 
-// CodebookFixture builds the whole-codebook scoring input: the paper's
-// 64-beam RX codebook over an 8x8 UPA and a planted rank-one covariance
-// estimate.
-func CodebookFixture() (*antenna.Codebook, *cmat.Matrix) {
+// CodebookOp is one batched whole-codebook scoring pass over the
+// paper's 64-beam RX codebook against a planted rank-one covariance,
+// followed by a Top-8 ranking — the per-slot beam-selection cost of the
+// proposed strategy. Its metric is the best beam's score, best_score.
+func CodebookOp() Op {
 	rx := antenna.NewUPA(8, 8)
 	cb := antenna.NewGridCodebook(rx, 8, 8, math.Pi, math.Pi/2)
 	q := cb.Beam(20).Weights.Outer(cb.Beam(20).Weights).Scale(64).Hermitianize()
-	return cb, q
-}
-
-// BenchCodebookScore measures one batched whole-codebook scoring pass
-// followed by a Top-8 ranking — the per-slot beam-selection cost of the
-// proposed strategy. Reports the best beam's score as its fidelity
-// metric.
-func BenchCodebookScore(b *testing.B) {
-	cb, q := CodebookFixture()
 	scores := make([]float64, cb.Size())
 	topk := make([]int, 0, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
 	var best float64
-	for i := 0; i < b.N; i++ {
-		cb.QuadFormScoresInto(q, scores)
-		topk = cb.TopKQuadFormInto(q, 8, topk)
-		best = scores[topk[0]]
+	return Op{
+		Run: func() error {
+			cb.QuadFormScoresInto(q, scores)
+			topk = cb.TopKQuadFormInto(q, 8, topk)
+			best = scores[topk[0]]
+			return nil
+		},
+		Sample: func() Sample { return Sample{Metrics: map[string]float64{"best_score": best}} },
 	}
-	b.ReportMetric(best, "best_score")
+}
+
+// FigureConfig is the reduced-size configuration of the figure
+// workloads: the paper's arrays and codebooks with fewer drops.
+func FigureConfig(figure int) experiment.Config {
+	return experiment.Config{
+		Seed:      1,
+		Drops:     4,
+		Multipath: figure == 6 || figure == 8,
+	}
 }
 
 // MulticellConfig is the cross-cell batching workload: the Fig. 5
 // regeneration restricted to the estimator-heavy proposed scheme, run
 // on 8 concurrent drop workers with CrossCellBatch enabled so the batch
 // scheduler actually coalesces same-shape solver GEMMs across cells.
-// Batching is bitwise-neutral, so the loss_dB fidelity metric must
-// equal the unbatched figure's.
+// Batching is bitwise-neutral, so its sample must equal the unbatched
+// proposed-only figure's.
 func MulticellConfig() experiment.Config {
 	cfg := FigureConfig(5)
 	cfg.Schemes = []string{"proposed"}
@@ -280,24 +240,28 @@ func MulticellConfig() experiment.Config {
 	return cfg
 }
 
-// BenchMulticell measures the proposed-only Fig. 5 regeneration through
-// the cross-cell batched GEMM engine. Reports the proposed scheme's
-// final loss_dB as its fidelity metric.
-func BenchMulticell(b *testing.B) {
-	b.ReportAllocs()
-	var m float64
-	for i := 0; i < b.N; i++ {
-		fig, err := experiment.GenerateContext(context.Background(), 5, MulticellConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ok bool
-		m, ok = FigureMetric(fig)
-		if !ok {
-			b.Fatal(errNoProposedSeries)
-		}
+// FigureOp regenerates a paper figure (5–8) under cfg. Its metric is
+// the proposed scheme's value at the last sweep point: loss_dB for the
+// search-effectiveness figures 5 and 6, rate_at_3dB for the
+// cost-efficiency figures 7 and 8.
+func FigureOp(figure int, cfg experiment.Config) Op {
+	metric := "loss_dB"
+	if figure == 7 || figure == 8 {
+		metric = "rate_at_3dB"
 	}
-	b.ReportMetric(m, "loss_dB")
+	return whole(func() (Sample, error) {
+		rec := obs.New()
+		fig, err := experiment.GenerateContext(obs.Into(context.Background(), rec), figure, cfg)
+		if err != nil {
+			return Sample{}, err
+		}
+		for _, s := range fig.Series {
+			if s.Name == "proposed" && len(s.Y) > 0 {
+				return Sample{Solver: rec.Snapshot().Solver, Metrics: map[string]float64{metric: s.Y[len(s.Y)-1]}}, nil
+			}
+		}
+		return Sample{}, fmt.Errorf("benchsuite: figure %d has no proposed series", figure)
+	})
 }
 
 // ScenarioConfig is the reduced mobility workload: one UE per speed at
@@ -315,80 +279,23 @@ func ScenarioConfig() scenario.Config {
 	}
 }
 
-// BenchScenario measures the mobility sweep. The sweep is
-// deterministic, so the delivered/genie efficiencies of the cold and
-// warm proposed schemes at the top speed are exact fidelity metrics.
-func BenchScenario(b *testing.B) {
-	b.ReportAllocs()
-	var res scenario.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = scenario.RunContext(context.Background(), ScenarioConfig())
+// ScenarioOp runs the mobility sweep. Its metrics are the
+// delivered/genie efficiencies of the cold and warm proposed schemes at
+// the top speed, eff_cold and eff_warm.
+func ScenarioOp() Op {
+	return whole(func() (Sample, error) {
+		rec := obs.New()
+		res, err := scenario.RunContext(obs.Into(context.Background(), rec), ScenarioConfig())
 		if err != nil {
-			b.Fatal(err)
+			return Sample{}, err
 		}
-	}
-	names := map[string]string{"proposed": "eff_cold", "proposed-warm": "eff_warm"}
-	for _, s := range res.Speed.Series {
-		if metric, ok := names[s.Name]; ok && len(s.Y) > 0 {
-			b.ReportMetric(s.Y[len(s.Y)-1], metric)
-		}
-	}
-}
-
-// FigureConfig is the reduced-size figure configuration used by the
-// figure benchmarks: the paper's arrays and codebooks with fewer drops.
-func FigureConfig(figure int) experiment.Config {
-	return experiment.Config{
-		Seed:      1,
-		Drops:     4,
-		Multipath: figure == 6 || figure == 8,
-	}
-}
-
-// FigureMetric extracts the proposed scheme's value at the last sweep
-// point of a figure — the fidelity number guarded by benchdiff and the
-// smoke test.
-func FigureMetric(fig experiment.Figure) (float64, bool) {
-	for _, s := range fig.Series {
-		if s.Name == "proposed" && len(s.Y) > 0 {
-			return s.Y[len(s.Y)-1], true
-		}
-	}
-	return 0, false
-}
-
-// RunFigure regenerates the given paper figure on the reduced benchmark
-// configuration and returns its fidelity metric.
-func RunFigure(figure int) (float64, error) {
-	fig, err := experiment.GenerateContext(context.Background(), figure, FigureConfig(figure))
-	if err != nil {
-		return 0, err
-	}
-	m, ok := FigureMetric(fig)
-	if !ok {
-		return 0, errNoProposedSeries
-	}
-	return m, nil
-}
-
-type figureError string
-
-func (e figureError) Error() string { return string(e) }
-
-const errNoProposedSeries = figureError("benchsuite: figure has no proposed series")
-
-func figureFunc(figure int, metric string) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		var m float64
-		for i := 0; i < b.N; i++ {
-			var err error
-			m, err = RunFigure(figure)
-			if err != nil {
-				b.Fatal(err)
+		names := map[string]string{"proposed": "eff_cold", "proposed-warm": "eff_warm"}
+		metrics := make(map[string]float64, len(names))
+		for _, s := range res.Speed.Series {
+			if metric, ok := names[s.Name]; ok && len(s.Y) > 0 {
+				metrics[metric] = s.Y[len(s.Y)-1]
 			}
 		}
-		b.ReportMetric(m, metric)
-	}
+		return Sample{Solver: rec.Snapshot().Solver, Metrics: metrics}, nil
+	})
 }

@@ -8,25 +8,21 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
-	"testing"
-	"time"
 
-	"mmwalign/internal/metrics"
+	"mmwalign/internal/obs"
 	"mmwalign/internal/serve"
 )
 
 // The serve workload drives the alignment server end-to-end over real
 // HTTP: pooled session lease, covariance estimation, whole-codebook
 // scoring, JSON encode — under the same bounded-queue admission control
-// cmd/beamserve runs with. It reports wall-clock latency percentiles
-// (p50_ns/p95_ns/p99_ns) alongside the usual ns/op, so benchdiff can
-// watch tail latency, not just mean throughput.
+// cmd/beamserve runs with.
 const (
-	// serveLoadBurst is the number of requests issued per benchmark
-	// iteration; serveLoadWorkers is the client-side concurrency. The
-	// queue depth below is sized so the burst saturates the execution
-	// slots without tripping 503 backpressure — this workload measures
-	// the served path, not the rejection path.
+	// serveLoadBurst is the number of requests in one burst;
+	// serveLoadWorkers is the client-side concurrency. The queue depth
+	// below is sized so the burst saturates the execution slots without
+	// tripping 503 backpressure — this workload measures the served
+	// path, not the rejection path.
 	serveLoadBurst   = 16
 	serveLoadWorkers = 8
 )
@@ -40,10 +36,10 @@ func serveLoadBody() []byte {
 		Beam   int     `json:"beam"`
 		Energy float64 `json:"energy"`
 	}
-	obs := make([]observation, 0, 12)
+	window := make([]observation, 0, 12)
 	for j := 0; j < 12; j++ {
 		d := float64(j - 5)
-		obs = append(obs, observation{Beam: j, Energy: 1 + 8/(1+d*d)})
+		window = append(window, observation{Beam: j, Energy: 1 + 8/(1+d*d)})
 	}
 	body, err := json.Marshal(map[string]any{
 		"panel_x":      4,
@@ -52,7 +48,7 @@ func serveLoadBody() []byte {
 		"beams_el":     4,
 		"max_iters":    10,
 		"top_k":        4,
-		"observations": obs,
+		"observations": window,
 	})
 	if err != nil {
 		panic(err) // fixture construction is deterministic; cannot fail
@@ -60,13 +56,15 @@ func serveLoadBody() []byte {
 	return body
 }
 
-// BenchServeLoad measures the alignment server under concurrent load:
-// each iteration fires a 16-request burst from 8 client workers at a
-// 4-slot server and waits for every response. Reported metrics: the
-// client-observed p50_ns/p95_ns/p99_ns request latencies and the
-// deterministic best-beam score (fidelity guard — the server must keep
-// returning the right beam under concurrency).
-func BenchServeLoad(b *testing.B) {
+// ServeOp fires one 16-request /v1/estimate burst from 8 client workers
+// at a fresh 4-slot server and waits for every response. Its solver
+// counters are the server's /statsz totals, and its metric is the best
+// beam's score, best_score. A rejected response, a degraded estimate,
+// or two responses that differ is an error: serving is deterministic,
+// so every request must get the same full-quality body.
+func ServeOp() Op { return whole(serveBurst) }
+
+func serveBurst() (Sample, error) {
 	srv := serve.NewServer(serve.Config{
 		MaxConcurrent: 4,
 		// Deep enough that a full burst queues instead of bouncing.
@@ -74,79 +72,76 @@ func BenchServeLoad(b *testing.B) {
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-
-	body := serveLoadBody()
 	client := ts.Client()
-	url := ts.URL + "/v1/estimate"
+	body := serveLoadBody()
 
-	// Warm the pool and capture the fidelity metric outside the timed
-	// region.
-	first, err := postServeLoad(client, url, body)
-	if err != nil {
-		b.Fatal(err)
+	var (
+		wg     sync.WaitGroup
+		work   = make(chan int, serveLoadBurst)
+		bodies = make([][]byte, serveLoadBurst)
+		errs   = make([]error, serveLoadBurst)
+	)
+	for i := 0; i < serveLoadBurst; i++ {
+		work <- i
+	}
+	close(work)
+	for w := 0; w < serveLoadWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				bodies[i], errs[i] = fetch(client, http.MethodPost, ts.URL+"/v1/estimate", body)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return Sample{}, err
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			return Sample{}, fmt.Errorf("serve burst: response %d differs from response 0:\n%s\n%s", i, bodies[i], bodies[0])
+		}
 	}
 	var resp struct {
+		Estimate struct {
+			Degraded bool `json:"degraded"`
+		} `json:"estimate"`
 		Picks struct {
 			Best struct {
-				Beam  int     `json:"beam"`
 				Score float64 `json:"score"`
 			} `json:"best"`
 		} `json:"picks"`
 	}
-	if err := json.Unmarshal(first, &resp); err != nil {
-		b.Fatal(err)
+	if err := json.Unmarshal(bodies[0], &resp); err != nil {
+		return Sample{}, err
+	}
+	if resp.Estimate.Degraded {
+		return Sample{}, fmt.Errorf("serve burst: degraded estimate: %s", bodies[0])
 	}
 
-	var (
-		mu        sync.Mutex
-		latencies []float64
-	)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var (
-			wg   sync.WaitGroup
-			work = make(chan struct{}, serveLoadBurst)
-			errs = make(chan error, serveLoadBurst)
-		)
-		for j := 0; j < serveLoadBurst; j++ {
-			work <- struct{}{}
-		}
-		close(work)
-		for w := 0; w < serveLoadWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for range work {
-					start := time.Now()
-					if _, err := postServeLoad(client, url, body); err != nil {
-						errs <- err
-						return
-					}
-					elapsed := float64(time.Since(start).Nanoseconds())
-					mu.Lock()
-					latencies = append(latencies, elapsed)
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			b.Fatal(err)
-		}
+	raw, err := fetch(client, http.MethodGet, ts.URL+"/statsz", nil)
+	if err != nil {
+		return Sample{}, err
 	}
-	b.StopTimer()
-	b.ReportMetric(metrics.Percentile(latencies, 50), "p50_ns")
-	b.ReportMetric(metrics.Percentile(latencies, 95), "p95_ns")
-	b.ReportMetric(metrics.Percentile(latencies, 99), "p99_ns")
-	b.ReportMetric(resp.Picks.Best.Score, "best_score")
+	var stats struct {
+		Solver obs.SolverStats `json:"solver"`
+	}
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		return Sample{}, err
+	}
+	return Sample{Solver: stats.Solver, Metrics: map[string]float64{"best_score": resp.Picks.Best.Score}}, nil
 }
 
-// postServeLoad issues one estimate request and returns the body,
-// failing on any non-200 status.
-func postServeLoad(client *http.Client, url string, body []byte) ([]byte, error) {
-	res, err := client.Post(url, "application/json", bytes.NewReader(body))
+// fetch issues one request and returns the body, failing on any
+// non-200 status.
+func fetch(client *http.Client, method, url string, body []byte) ([]byte, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	res, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +151,7 @@ func postServeLoad(client *http.Client, url string, body []byte) ([]byte, error)
 		return nil, err
 	}
 	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve load: status %d: %s", res.StatusCode, data)
+		return nil, fmt.Errorf("serve burst: %s %s: status %d: %s", method, url, res.StatusCode, data)
 	}
 	return data, nil
 }
