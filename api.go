@@ -335,7 +335,7 @@ func (l *Link) strategy(scheme Scheme, opt AlignOptions) (align.Strategy, error)
 		Estimator: covest.Options{Gamma: channel.DBToLinear(l.spec.SNRdB), Mu: opt.Mu},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("mmwalign: unknown scheme %q", scheme)
+		return nil, fmt.Errorf("mmwalign: %w", err)
 	}
 	return strat, nil
 }

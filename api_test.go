@@ -2,6 +2,7 @@ package mmwalign
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -90,8 +91,31 @@ func TestAlignUnknownScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := link.Align(Scheme("psychic"), 8); err == nil {
-		t.Error("unknown scheme accepted")
+	if _, err := link.Align(Scheme("psychic"), 8); err == nil || !strings.Contains(err.Error(), `unknown scheme "psychic"`) {
+		t.Errorf("unknown scheme: err = %v", err)
+	}
+}
+
+// TestAlignRejectsBadEstimatorOptions pins that out-of-range estimator
+// knobs are refused with the constructor's own reason, not run as given.
+func TestAlignRejectsBadEstimatorOptions(t *testing.T) {
+	link, err := NewLink(LinkSpec{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scheme Scheme
+		opt    AlignOptions
+		reason string
+	}{
+		{SchemeProposed, AlignOptions{J: -3}, "j -3"},
+		{SchemeProposed, AlignOptions{Window: -5}, "window -5"},
+		{SchemeProposed, AlignOptions{Mu: -1}, "mu -1"},
+		{SchemeTwoSided, AlignOptions{Mu: math.NaN()}, "mu NaN"},
+	} {
+		if _, err := link.Align(tc.scheme, 8, tc.opt); err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s %+v: err = %v, want one naming %q", tc.scheme, tc.opt, err, tc.reason)
+		}
 	}
 }
 

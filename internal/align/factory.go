@@ -2,6 +2,7 @@ package align
 
 import (
 	"fmt"
+	"math"
 
 	"mmwalign/internal/antenna"
 	"mmwalign/internal/covest"
@@ -43,9 +44,28 @@ func (s SchemeSpec) WithDefaults() SchemeSpec {
 	return s
 }
 
+// validate rejects estimator knobs no solve can run with, once
+// WithDefaults has filled the zero ones: a negative J or Window, and a
+// µ or iteration budget that is not positive and finite.
+func (s SchemeSpec) validate() error {
+	switch {
+	case s.J < 0:
+		return fmt.Errorf("j %d must not be negative", s.J)
+	case s.Window < 0:
+		return fmt.Errorf("window %d must not be negative", s.Window)
+	case !(s.Estimator.Mu > 0) || math.IsInf(s.Estimator.Mu, 0):
+		return fmt.Errorf("mu %g must be positive and finite", s.Estimator.Mu)
+	case s.Estimator.MaxIters <= 0:
+		return fmt.Errorf("iteration budget %d must be positive", s.Estimator.MaxIters)
+	}
+	return nil
+}
+
 // ForScheme constructs a built-in strategy by name. rxBook is the RX
 // codebook the environment will run with (needed by the hierarchical
-// descent, ignored by the others). This is the single construction
+// descent, ignored by the others). For the estimator-driven schemes
+// (proposed, proposed-warm, two-sided) it fills spec's defaults and
+// rejects knobs no solve can run with. This is the single construction
 // switch: the figure sweeps, the scenario engine, the serving layer and
 // the public API all build through it, so a scheme name means the same
 // strategy everywhere.
@@ -59,6 +79,9 @@ func ForScheme(name string, rxBook *antenna.Codebook, spec SchemeSpec) (Strategy
 		return ExhaustiveStrategy{}, nil
 	case "proposed", "proposed-warm", "two-sided":
 		spec = spec.WithDefaults()
+		if err := spec.validate(); err != nil {
+			return nil, fmt.Errorf("align: scheme %q: %w", name, err)
+		}
 		cfg := ProposedConfig{J: spec.J, Window: spec.Window, Estimator: spec.Estimator}
 		if name == "two-sided" {
 			return NewTwoSided(cfg), nil

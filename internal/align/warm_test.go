@@ -2,9 +2,11 @@ package align
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"mmwalign/internal/antenna"
+	"mmwalign/internal/covest"
 )
 
 // The warm-start variant must carry its covariance estimate across
@@ -88,6 +90,32 @@ func TestForSchemeCoversAllNames(t *testing.T) {
 	for _, name := range SchemeNames() {
 		if _, err := ForScheme(name, rx, SchemeSpec{}); err != nil {
 			t.Errorf("ForScheme(%q): %v", name, err)
+		}
+	}
+}
+
+// The estimator-driven schemes refuse knobs no solve can run with once
+// the defaults are filled; the other schemes ignore the knobs.
+func TestForSchemeRejectsBadEstimatorKnobs(t *testing.T) {
+	rx := antenna.NewGridCodebook(antenna.NewUPA(4, 4), 4, 4, 3.14, 1.57)
+	bad := []SchemeSpec{
+		{J: -1},
+		{Window: -1},
+		{Estimator: covest.Options{Mu: -1}},
+		{Estimator: covest.Options{Mu: math.NaN()}},
+		{Estimator: covest.Options{Mu: math.Inf(1)}},
+		{Estimator: covest.Options{MaxIters: -1}},
+	}
+	for _, name := range SchemeNames() {
+		estimated := name == "proposed" || name == "proposed-warm" || name == "two-sided"
+		for _, spec := range bad {
+			_, err := ForScheme(name, rx, spec)
+			if estimated && err == nil {
+				t.Errorf("ForScheme(%q, %+v) accepted", name, spec)
+			}
+			if !estimated && err != nil {
+				t.Errorf("ForScheme(%q, %+v): %v", name, spec, err)
+			}
 		}
 	}
 }

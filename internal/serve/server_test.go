@@ -769,6 +769,10 @@ func TestBadRequests(t *testing.T) {
 		{"beam out of range", "/v1/estimate", `{"panel_x":4,"panel_z":1,"beams_az":4,"beams_el":1,"observations":[{"beam":99,"energy":1}]}`},
 		{"zero budget", "/v1/align", `{"budget": 0}`},
 		{"unknown scheme", "/v1/align", `{"budget": 4, "scheme": "nope"}`},
+		{"negative j", "/v1/align", `{"budget": 4, "scheme": "proposed", "j": -3}`},
+		{"negative window", "/v1/align", `{"budget": 4, "scheme": "proposed", "window": -5}`},
+		{"negative mu", "/v1/align", `{"budget": 4, "scheme": "proposed", "mu": -1}`},
+		{"two-sided negative j", "/v1/align", `{"budget": 4, "scheme": "two-sided", "j": -1}`},
 		{"unknown channel", "/v1/align", `{"budget": 4, "channel": "nope"}`},
 		{"negative tx panel", "/v1/align", `{"budget": 4, "tx_panel_x": -1}`},
 		{"negative rx panel", "/v1/align", `{"budget": 4, "rx_panel_z": -8}`},
@@ -786,6 +790,15 @@ func TestBadRequests(t *testing.T) {
 		if kind := decodeErrorBody(t, data).Error.Kind; kind != errBadRequest {
 			t.Errorf("%s: kind = %q, want %q", tc.name, kind, errBadRequest)
 		}
+	}
+	// The estimator-knob probes are breaker-neutral: more of them than
+	// the default breaker threshold of five leave the circuit closed for
+	// a valid request on the same key.
+	for i := 0; i < 5; i++ {
+		post(t, ts.URL+"/v1/align", []byte(`{"budget": 4, "scheme": "proposed", "mu": -1}`))
+	}
+	if status, _, data := post(t, ts.URL+"/v1/align", []byte(`{"budget": 4, "scheme": "proposed"}`)); status != http.StatusOK {
+		t.Errorf("valid proposed align after the knob probes: status = %d, want 200; body %s", status, data)
 	}
 	// Whitespace after the one JSON value is not trailing data.
 	for url, body := range map[string]string{"/v1/estimate": est + " \n\t", "/v1/align": aln + "\n"} {

@@ -104,6 +104,9 @@ func Merge(dir string, figure int, cfg experiment.Config) (*MergeResult, error) 
 		if rep, err := readWorkerSummary(dir, worker); err != nil {
 			return nil, err
 		} else if rep != nil {
+			if err := rep.check(worker, len(cells)); err != nil {
+				return nil, err
+			}
 			ws.ComputedCells = rep.ComputedCells
 			ws.StolenCells = rep.StolenCells
 			ws.FailedCells = rep.FailedCells
@@ -163,4 +166,42 @@ func readWorkerSummary(dir, worker string) (*WorkerSummary, error) {
 		return nil, fmt.Errorf("shard: parsing summary of worker %s: %w", worker, err)
 	}
 	return &s, nil
+}
+
+// SummaryError reports a worker summary whose counts no run of the
+// worker could have written for its journal: a negative count, more
+// computed or resumed cells than the journal holds, or more stolen
+// cells than computed ones.
+type SummaryError struct {
+	// Worker names the summary; Field is the offending count's JSON
+	// name, Count its value and Max the largest value it could take.
+	Worker, Field string
+	Count, Max    int
+	// Journaled is how many cells the worker's journal holds.
+	Journaled int
+}
+
+func (e *SummaryError) Error() string {
+	return fmt.Sprintf("shard: summary of worker %s reports %s %d, outside [0, %d] for a journal of %d cells",
+		e.Worker, e.Field, e.Count, e.Max, e.Journaled)
+}
+
+// check refuses a summary whose counts cannot describe a journal of
+// journaled cells. Merge copies the counts into the run manifest, so a
+// tampered or corrupt summary must not reach it.
+func (s *WorkerSummary) check(worker string, journaled int) error {
+	for _, c := range []struct {
+		field  string
+		n, max int
+	}{
+		{"computed_cells", s.ComputedCells, journaled},
+		{"resumed_cells", s.ResumedCells, journaled - s.ComputedCells},
+		{"stolen_cells", s.StolenCells, s.ComputedCells},
+		{"failed_cells", s.FailedCells, journaled},
+	} {
+		if c.n < 0 || c.n > c.max {
+			return &SummaryError{Worker: worker, Field: c.field, Count: c.n, Max: c.max, Journaled: journaled}
+		}
+	}
+	return nil
 }
