@@ -44,10 +44,10 @@ func (s SchemeSpec) WithDefaults() SchemeSpec {
 	return s
 }
 
-// validate rejects estimator knobs no solve can run with, once
+// Validate rejects estimator knobs no solve can run with, once
 // WithDefaults has filled the zero ones: a negative J or Window, and a
 // µ or iteration budget that is not positive and finite.
-func (s SchemeSpec) validate() error {
+func (s SchemeSpec) Validate() error {
 	switch {
 	case s.J < 0:
 		return fmt.Errorf("j %d must not be negative", s.J)
@@ -79,7 +79,7 @@ func ForScheme(name string, rxBook *antenna.Codebook, spec SchemeSpec) (Strategy
 		return ExhaustiveStrategy{}, nil
 	case "proposed", "proposed-warm", "two-sided":
 		spec = spec.WithDefaults()
-		if err := spec.validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("align: scheme %q: %w", name, err)
 		}
 		cfg := ProposedConfig{J: spec.J, Window: spec.Window, Estimator: spec.Estimator}

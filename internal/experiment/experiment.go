@@ -329,14 +329,18 @@ func (c Config) schemeSpec() align.SchemeSpec {
 	return spec
 }
 
-// checkSchemes rejects a scheme name align.ForScheme does not know.
-// Such a name fails every cell the same way, so it is a configuration
-// error, reported before any cell runs rather than retried per drop.
+// checkSchemes rejects a scheme name align.ForScheme does not know, and
+// estimator knobs it would refuse. Either fails every cell the same
+// way, so it is a configuration error, reported before any cell runs
+// rather than retried per drop.
 func (c Config) checkSchemes() error {
 	for _, s := range c.Schemes {
 		if !slices.Contains(align.SchemeNames(), s) {
 			return fmt.Errorf("experiment: unknown scheme %q (known: %s)", s, strings.Join(align.SchemeNames(), ", "))
 		}
+	}
+	if err := c.schemeSpec().WithDefaults().Validate(); err != nil {
+		return fmt.Errorf("experiment: %w", err)
 	}
 	return nil
 }

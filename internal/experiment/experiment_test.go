@@ -181,29 +181,38 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestUnknownSchemeRejected pins that a name outside
-// align.SchemeNames() is a configuration error: the sweep returns at
-// once with one plain error, and no cell runs, retries or waits out its
-// backoff.
+// align.SchemeNames(), or an estimator knob align.ForScheme refuses, is
+// a configuration error: the sweep returns at once with one plain
+// error, and no cell runs, retries or waits out its backoff.
 func TestUnknownSchemeRejected(t *testing.T) {
-	cfg := tinyConfig(false)
-	cfg.Schemes = []string{"random", "bogus"}
-	cfg.MaxRetries = 3
-	cfg.RetryBackoff = time.Hour
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	start := time.Now()
-	fig, err := SearchEffectivenessContext(ctx, cfg)
-	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
-		t.Fatalf("err = %v, want an unknown-scheme error", err)
-	}
-	if ctx.Err() != nil || time.Since(start) > 5*time.Second {
-		t.Fatalf("rejection took %v: cells ran and retried", time.Since(start))
-	}
-	if fig.Failures != nil {
-		t.Errorf("Failures = %+v, want none: no cell should run", fig.Failures)
-	}
-	if _, err := JournalHeader(5, cfg); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
-		t.Errorf("JournalHeader err = %v, want an unknown-scheme error", err)
+	for _, tc := range []struct {
+		schemes []string
+		j       int
+		want    string
+	}{
+		{[]string{"random", "bogus"}, 0, "unknown scheme"},
+		{[]string{"random", "proposed"}, -3, "j -3"},
+	} {
+		cfg := tinyConfig(false)
+		cfg.Schemes, cfg.J = tc.schemes, tc.j
+		cfg.MaxRetries = 3
+		cfg.RetryBackoff = time.Hour
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		start := time.Now()
+		fig, err := SearchEffectivenessContext(ctx, cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want one naming %q", tc.want, err, tc.want)
+		}
+		if ctx.Err() != nil || time.Since(start) > 5*time.Second {
+			t.Fatalf("%s: rejection took %v: cells ran and retried", tc.want, time.Since(start))
+		}
+		cancel()
+		if fig.Failures != nil {
+			t.Errorf("%s: Failures = %+v, want none: no cell should run", tc.want, fig.Failures)
+		}
+		if _, err := JournalHeader(5, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: JournalHeader err = %v, want one naming %q", tc.want, err, tc.want)
+		}
 	}
 }
 

@@ -542,6 +542,9 @@ func (c Config) validate() error {
 	if len(c.Schemes) == 0 {
 		return fmt.Errorf("scenario: no schemes configured")
 	}
+	if err := c.schemeSpec().WithDefaults().Validate(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
 	return nil
 }
 

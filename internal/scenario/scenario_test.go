@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -289,6 +290,11 @@ func TestScenarioValidation(t *testing.T) {
 	bad2.SlotBudget = 50
 	if _, err := RunContext(context.Background(), bad2); err == nil {
 		t.Fatal("align slots exceeding slot budget accepted")
+	}
+	bad3 := tinyConfig()
+	bad3.Mu = -1
+	if _, err := RunContext(context.Background(), bad3); err == nil || !strings.Contains(err.Error(), "mu -1") {
+		t.Fatalf("mu -1: err = %v, want it refused", err)
 	}
 }
 
